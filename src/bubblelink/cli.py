@@ -13,15 +13,8 @@ from . import config as cfgmod
 from . import dsp, metrics, plot, trace_io
 from .channel import simulate
 from .errors import ResourceLimitError, ValidationError
-from .modem import TimingMode, TimingParams, decode, encode, validate_bits
+from .modem import TimingMode, TimingParams, decode, encode, parse_bits
 from .pipeline import run_pipeline
-
-
-def _parse_bits_arg(text: str):
-    bad = set(text) - {"0", "1"}
-    if bad:
-        raise ValidationError(f"--bits: invalid characters {sorted(bad)!r}")
-    return validate_bits([int(c) for c in text])
 
 
 def _timing_from_args(args) -> TimingParams:
@@ -39,20 +32,19 @@ def _collect_values(args) -> dict[str, str]:
 
 
 def cmd_encode(args) -> int:
-    bits = trace_io.read_bits(args.bits_file) if args.bits_file else _parse_bits_arg(args.bits)
+    if args.bits_file is not None:
+        bits = trace_io.read_bits(args.bits_file)
+    elif args.bits is not None:
+        bits = parse_bits(args.bits, "--bits")
+    else:
+        raise ValidationError("encode requires --bits or --bits-file")
     schedule = encode(bits, _timing_from_args(args), args.dose)
     trace_io.write_schedule(schedule, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    values = {}
-    if args.preset:
-        values.update(cfgmod.parse_config_text(cfgmod.preset_text(args.preset)))
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            values.update(cfgmod.parse_config_text(fh.read()))
-    values.update(_collect_values(args))
+    values = cfgmod.merge_values(args.config, args.preset, _collect_values(args))
     params = cfgmod.build_channel(values)
     schedule = trace_io.read_schedule(args.schedule)
     trace_io.write_trace(simulate(schedule, params), args.out)
@@ -102,24 +94,11 @@ def cmd_evaluate(args) -> int:
     match = metrics.match_peaks(peaks, truth, args.tolerance)
     peaks_total = args.peaks_total if args.peaks_total is not None else len(truth)
     report = metrics.build_report(match, peaks_total)
-    lines = [
-        "key,value",
-        f"tp,{match.tp}",
-        f"fp,{match.fp}",
-        f"fn,{match.fn}",
-        f"precision,{report.precision:.9g}",
-        f"recall,{report.recall:.9g}",
-        f"f1,{report.f1:.9g}",
-        f"ber,{report.ber:.9g}",
-        f"bsr,{report.bsr:.9g}",
-        f"peaks_total,{peaks_total}",
-    ]
-    text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            trace_io.write_report(fh, match, report)
     else:
-        sys.stdout.write(text)
+        trace_io.write_report(sys.stdout, match, report)
     return 0
 
 
@@ -167,8 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_timing_flags(p)
     p.add_argument("--dose", type=float, default=1.0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_encode, check=lambda a: a.bits is not None or a.bits_file is not None,
-                   check_msg="encode requires --bits or --bits-file")
+    p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("simulate", help="schedule CSV -> sensor trace CSV")
     p.add_argument("--schedule", required=True)
@@ -232,9 +210,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        check = getattr(args, "check", None)
-        if check is not None and not check(args):
-            raise ValidationError(args.check_msg)
         return args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)

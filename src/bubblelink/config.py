@@ -26,7 +26,7 @@ import numpy as np
 from .channel import ChannelParams
 from .dsp import KalmanParams, MafParams, default_maf_window, default_min_distance
 from .errors import ValidationError
-from .modem import Bits, TimingMode, TimingParams, validate_bits
+from .modem import Bits, TimingMode, TimingParams, parse_bits
 
 SEED_ENV_VAR = "BUBBLELINK_SEED"
 
@@ -74,42 +74,34 @@ def preset_text(name: str) -> str:
     return resources.files("bubblelink.presets").joinpath(PRESETS[name]).read_text("utf-8")
 
 
-def _get_float(values: dict[str, str], key: str, default: float | None = None) -> float:
+_REQUIRED = object()
+_KIND_NAMES = {float: "a number", int: "an integer"}
+
+
+def _get(values: dict[str, str], key: str, kind: type, default=_REQUIRED):
+    """Parse ``values[key]`` as ``kind`` (float or int); ``default`` if absent."""
     if key not in values:
-        if default is None:
+        if default is _REQUIRED:
             raise ValidationError(f"config: missing required key {key!r}")
         return default
     try:
-        return float(values[key])
+        return kind(values[key])
     except ValueError:
-        raise ValidationError(f"config key {key!r}: cannot parse {values[key]!r} as a number") from None
-
-
-def _get_int(values: dict[str, str], key: str, default: int | None = None) -> int:
-    if key not in values:
-        if default is None:
-            raise ValidationError(f"config: missing required key {key!r}")
-        return default
-    try:
-        return int(values[key])
-    except ValueError:
-        raise ValidationError(f"config key {key!r}: cannot parse {values[key]!r} as an integer") from None
+        raise ValidationError(
+            f"config key {key!r}: cannot parse {values[key]!r} as {_KIND_NAMES[kind]}"
+        ) from None
 
 
 def _resolve_payload(values: dict[str, str]) -> Bits:
     if "bits.length" in values:
-        length = _get_int(values, "bits.length")
-        seed = _get_int(values, "bits.seed", 0)
+        length = _get(values, "bits.length", int)
+        seed = _get(values, "bits.seed", int, 0)
         if length < 0:
             raise ValidationError("bits.length must be non-negative")
         rng = np.random.Generator(np.random.PCG64(seed))
         return [int(b) for b in rng.random(length) < 0.5]
     if "bits.value" in values:
-        text = values["bits.value"]
-        bad = set(text) - {"0", "1"}
-        if bad:
-            raise ValidationError(f"bits.value: invalid characters {sorted(bad)!r}")
-        return validate_bits([int(c) for c in text])
+        return parse_bits(values["bits.value"], "bits.value")
     raise ValidationError("config: provide bits.value or bits.length")
 
 
@@ -121,14 +113,14 @@ def build_timing(values: dict[str, str]) -> TimingParams:
             f"timing.mode must be 'framed' or 'variable', got {values['timing.mode']!r}"
         ) from None
     return TimingParams(
-        t_on=_get_float(values, "timing.t_on"),
-        t_off=_get_float(values, "timing.t_off"),
+        t_on=_get(values, "timing.t_on", float),
+        t_off=_get(values, "timing.t_off", float),
         mode=mode,
     )
 
 
 def build_channel(values: dict[str, str]) -> ChannelParams:
-    seed = _get_int(values, "channel.rng_seed", 0)
+    seed = _get(values, "channel.rng_seed", int, 0)
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is not None:
         try:
@@ -137,20 +129,20 @@ def build_channel(values: dict[str, str]) -> ChannelParams:
             raise ValidationError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from None
 
     return ChannelParams(
-        flow_rate=_get_float(values, "channel.flow_rate"),
-        tube_diameter=_get_float(values, "channel.tube_diameter"),
-        distance_to_sensor=_get_float(values, "channel.distance_to_sensor"),
-        loop_length=_get_float(values, "channel.loop_length"),
-        dispersion_coeff=_get_float(values, "channel.dispersion_coeff"),
-        initial_spread=_get_float(values, "channel.initial_spread"),
-        pass_decay=_get_float(values, "channel.pass_decay"),
-        echo_cutoff=_get_float(values, "channel.echo_cutoff"),
-        noise_std=_get_float(values, "channel.noise_std", 0.0),
-        spike_rate=_get_float(values, "channel.spike_rate", 0.0),
-        spike_amplitude_max=_get_float(values, "channel.spike_amplitude_max", 0.0),
-        sample_interval=_get_float(values, "channel.sample_interval"),
+        flow_rate=_get(values, "channel.flow_rate", float),
+        tube_diameter=_get(values, "channel.tube_diameter", float),
+        distance_to_sensor=_get(values, "channel.distance_to_sensor", float),
+        loop_length=_get(values, "channel.loop_length", float),
+        dispersion_coeff=_get(values, "channel.dispersion_coeff", float),
+        initial_spread=_get(values, "channel.initial_spread", float),
+        pass_decay=_get(values, "channel.pass_decay", float),
+        echo_cutoff=_get(values, "channel.echo_cutoff", float),
+        noise_std=_get(values, "channel.noise_std", float, 0.0),
+        spike_rate=_get(values, "channel.spike_rate", float, 0.0),
+        spike_amplitude_max=_get(values, "channel.spike_amplitude_max", float, 0.0),
+        sample_interval=_get(values, "channel.sample_interval", float),
         rng_seed=seed,
-        max_samples=_get_int(values, "channel.max_samples", 1_000_000),
+        max_samples=_get(values, "channel.max_samples", int, 1_000_000),
     )
 
 
@@ -159,30 +151,27 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     channel = build_channel(values)
 
     dt = channel.sample_interval
-    maf = MafParams(window=_get_int(values, "maf.window", default_maf_window(dt, timing.t_on)))
+    maf = MafParams(window=_get(values, "maf.window", int, default_maf_window(dt, timing.t_on)))
 
     kalman = None
     if "kalman.q" in values or "kalman.r" in values:
         kalman = KalmanParams(
-            q=_get_float(values, "kalman.q"),
-            r=_get_float(values, "kalman.r"),
-            x0=_get_float(values, "kalman.x0", 0.0),
-            p0=_get_float(values, "kalman.p0", _get_float(values, "kalman.r")),
+            q=_get(values, "kalman.q", float),
+            r=_get(values, "kalman.r", float),
+            x0=_get(values, "kalman.x0", float, 0.0),
+            p0=_get(values, "kalman.p0", float, _get(values, "kalman.r", float)),
         )
 
-    thresholds: dict[str, float | None] = {}
-    base = values.get("peak.threshold")
-    for branch in BRANCHES:
-        specific = values.get(f"peak.threshold.{branch}", base)
-        thresholds[branch] = float(specific) if specific is not None else None
+    base = _get(values, "peak.threshold", float, None)
+    thresholds = {b: _get(values, f"peak.threshold.{b}", float, base) for b in BRANCHES}
 
-    tolerance = _get_float(values, "tolerance", 1.0)
+    tolerance = _get(values, "tolerance", float, 1.0)
     if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
-    decode_window = _get_float(
-        values, "decode.window", min(tolerance, timing.symbol_duration / 2)
+    decode_window = _get(
+        values, "decode.window", float, min(tolerance, timing.symbol_duration / 2)
     )
-    preamble = _get_int(values, "preamble", 1)
+    preamble = _get(values, "preamble", int, 1)
     if preamble < 1:
         raise ValidationError("preamble must be at least 1 (decode delay estimation needs it)")
 
@@ -191,37 +180,32 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         channel=channel,
         maf=maf,
         kalman=kalman,
-        peak_min_distance=_get_int(values, "peak.min_distance", default_min_distance(dt)),
+        peak_min_distance=_get(values, "peak.min_distance", int, default_min_distance(dt)),
         peak_thresholds=thresholds,
         tolerance=tolerance,
         decode_window=decode_window,
-        dose=_get_float(values, "dose", 1.0),
+        dose=_get(values, "dose", float, 1.0),
         preamble=preamble,
         payload=_resolve_payload(values),
     )
 
 
-def load_config(
+def merge_values(
     path: str | None = None,
     preset: str | None = None,
     overrides: dict[str, str] | None = None,
-) -> ExperimentConfig:
-    """Build an ExperimentConfig from a file and/or preset plus overrides.
+) -> dict[str, str]:
+    """Merge preset, then config file, then overrides into one key=value dict.
 
     Override keys replace base keys; setting ``bits.length`` in the overrides
     discards any ``bits.value`` from the base (and vice versa).
     """
-    if path is None and preset is None:
-        raise ValidationError("a config file or a preset is required")
     values: dict[str, str] = {}
     if preset is not None:
         values.update(parse_config_text(preset_text(preset)))
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                values.update(parse_config_text(fh.read()))
-        except FileNotFoundError:
-            raise
+        with open(path, "r", encoding="utf-8") as fh:
+            values.update(parse_config_text(fh.read()))
     if overrides:
         if "bits.length" in overrides:
             values.pop("bits.value", None)
@@ -229,4 +213,15 @@ def load_config(
             values.pop("bits.length", None)
             values.pop("bits.seed", None)
         values.update(overrides)
-    return build_config(values)
+    return values
+
+
+def load_config(
+    path: str | None = None,
+    preset: str | None = None,
+    overrides: dict[str, str] | None = None,
+) -> ExperimentConfig:
+    """Build an ExperimentConfig from a file and/or preset plus overrides."""
+    if path is None and preset is None:
+        raise ValidationError("a config file or a preset is required")
+    return build_config(merge_values(path, preset, overrides))

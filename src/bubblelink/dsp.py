@@ -33,8 +33,6 @@ class KalmanParams:
             raise ValidationError("q and p0 must be non-negative")
         if not self.r > 0:
             raise ValidationError("r must be positive")
-        if self.q == 0 and self.r == 0:
-            raise ValidationError("q and r must not both be zero")
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,14 @@ def validate_bits(bits: Sequence[int]) -> Bits:
     return out
 
 
+def parse_bits(text: str, source: str) -> Bits:
+    """Parse a string of 0/1 characters; errors name ``source``."""
+    bad = set(text) - {"0", "1"}
+    if bad:
+        raise ValidationError(f"{source}: invalid bit characters {sorted(bad)!r}")
+    return [int(c) for c in text]
+
+
 def encode(bits: Sequence[int], timing: TimingParams, dose: float = 1.0) -> InjectionSchedule:
     """Encode a bit sequence into an injection schedule.
 

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import csv
 import os
-from typing import Sequence
+from typing import Sequence, TextIO
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
-from .modem import Bits, InjectionEvent, InjectionSchedule, validate_bits
+from .metrics import MatchResult, MetricsReport
+from .modem import Bits, InjectionEvent, InjectionSchedule, parse_bits, validate_bits
 from .signals import Peak, PeakSet, SensorTrace
 
 SPACING_TOLERANCE = 1e-6  # s, absorbs float printing jitter
@@ -132,13 +133,40 @@ def read_bits(path: str | os.PathLike) -> Bits:
     """Read a bit string: one line of 0/1 characters, no separators."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read().strip()
-    bad = set(text) - {"0", "1"}
-    if bad:
-        raise FormatError(f"{path}: invalid bit characters {sorted(bad)!r}")
-    return validate_bits([int(c) for c in text])
+    try:
+        return parse_bits(text, str(path))
+    except ValidationError as exc:
+        raise FormatError(str(exc)) from None
 
 
 def write_bits(bits: Sequence[int], path: str | os.PathLike) -> None:
     bits = validate_bits(bits)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("".join(str(b) for b in bits) + "\n")
+
+
+def write_report(
+    fh: TextIO,
+    match: MatchResult,
+    report: MetricsReport,
+    extra: Sequence[tuple[str, object]] = (),
+) -> None:
+    """Write a `key,value` report: the nine metric rows, then ``extra`` rows.
+
+    Values are CSV-quoted where needed, so a value holding a comma stays one
+    field.
+    """
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["key", "value"])
+    writer.writerows([
+        ("tp", match.tp),
+        ("fp", match.fp),
+        ("fn", match.fn),
+        ("precision", f"{report.precision:.9g}"),
+        ("recall", f"{report.recall:.9g}"),
+        ("f1", f"{report.f1:.9g}"),
+        ("ber", f"{report.ber:.9g}"),
+        ("bsr", f"{report.bsr:.9g}"),
+        ("peaks_total", report.peaks_total),
+        *extra,
+    ])

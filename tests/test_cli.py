@@ -1,6 +1,8 @@
 import csv
 import filecmp
+import hashlib
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ def read_comparison(path):
 
 
 NOISELESS = ["--set", "channel.noise_std=0", "--set", "channel.spike_rate=0"]
+
+# SHA-256 of every file of the paper-like output tree, as recorded by bench/digests.py
+PAPER_LIKE_DIGESTS = Path(__file__).parent / "data" / "paper_like.sha256"
 
 
 class TestSubcommands:
@@ -84,6 +89,23 @@ class TestSubcommands:
         trace = read_trace(trace_f)
         assert trace.samples.max() > 0.9  # the bolus passes the sensor
 
+    def test_simulate_with_channel_only_config_file(self, tmp_path):
+        sched_f = tmp_path / "s.csv"
+        cfg_f = tmp_path / "channel.cfg"
+        cfg_f.write_text(
+            "channel.flow_rate=1.24\nchannel.tube_diameter=0.009525\n"
+            "channel.distance_to_sensor=0.5\nchannel.loop_length=2.0\n"
+            "channel.dispersion_coeff=0.05\nchannel.initial_spread=0.05\n"
+            "channel.pass_decay=0.35\nchannel.echo_cutoff=0.05\nchannel.sample_interval=0.04\n"
+        )
+        main(["encode", "--bits", "1", "--t-on", "0.3", "--t-off", "2.0", "--out", str(sched_f)])
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["simulate", "--schedule", str(sched_f), "--config", str(cfg_f),
+                     "--out", str(a)]) == 0
+        assert main(["simulate", "--schedule", str(sched_f), "--preset", "paper-like",
+                     *NOISELESS, "--out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
 
 class TestPipeline:
     def run(self, tmp_path, name, extra=()):
@@ -144,6 +166,32 @@ class TestPipeline:
         for key in ("tp", "fp", "fn", "precision", "recall", "f1", "ber", "bsr"):
             assert manual[key] == branch[key], key
 
+    def test_paper_like_tree_digests(self, tmp_path):
+        out = self.run(tmp_path, "run")
+        expected = {}
+        for line in PAPER_LIKE_DIGESTS.read_text().splitlines():
+            digest, name = line.split("  paper-like/")
+            expected[name] = digest
+        assert sorted(os.listdir(out)) == sorted(expected)
+        for name, digest in expected.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+    def test_report_values_are_csv_quoted(self, tmp_path):
+        out = self.run(tmp_path, "run", ["--set", "peak.threshold.raw=100"])
+        with open(out / "raw_report.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(row) == 2 for row in rows), rows
+        assert dict(rows)["warning"] == (
+            "no peaks detected; preamble delay estimation failed, using model transit time"
+        )
+
+    def test_failed_validation_writes_nothing(self, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["pipeline", "--preset", "paper-like", "--set", "decode.window=5",
+                   "--out-dir", str(out)])
+        assert rc == 2
+        assert not out.exists()
+
 
 class TestPlot:
     def test_deterministic_svg(self, tmp_path):
@@ -187,6 +235,12 @@ class TestExitCodes:
     def test_encode_requires_bits(self, tmp_path):
         rc = main(["encode", "--t-on", "0.3", "--t-off", "2.0", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
+
+    def test_non_numeric_threshold_is_validation_error(self, tmp_path, capsys):
+        rc = main(["pipeline", "--preset", "paper-like", "--set", "peak.threshold.raw=abc",
+                   "--out-dir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "peak.threshold.raw" in capsys.readouterr().err
 
     def test_bad_input_file_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
