@@ -54,10 +54,15 @@ def cmd_simulate(args) -> int:
 def cmd_filter(args) -> int:
     trace = trace_io.read_trace(args.infile)
     if args.method == "maf":
-        window = args.window or dsp.default_maf_window(trace.sample_interval)
+        window = args.window
+        if window is None:
+            window = dsp.default_maf_window(trace.sample_interval)
         out = dsp.moving_average(trace, dsp.MafParams(window))
     else:
-        if args.q is not None and args.r is not None:
+        if (args.q is None) != (args.r is None):
+            given, missing = ("--q", "--r") if args.r is None else ("--r", "--q")
+            raise ValidationError(f"{given} needs {missing} too; give neither to auto-tune")
+        if args.q is not None:
             x0 = args.x0 if args.x0 is not None else float(trace.samples[0])
             p0 = args.p0 if args.p0 is not None else args.r
             params = dsp.KalmanParams(q=args.q, r=args.r, x0=x0, p0=p0)
@@ -71,7 +76,9 @@ def cmd_filter(args) -> int:
 def cmd_detect(args) -> int:
     trace = trace_io.read_trace(args.infile)
     threshold = args.threshold if args.threshold is not None else dsp.default_threshold(trace)
-    min_distance = args.min_distance or dsp.default_min_distance(trace.sample_interval)
+    min_distance = args.min_distance
+    if min_distance is None:
+        min_distance = dsp.default_min_distance(trace.sample_interval)
     peaks = dsp.detect_peaks(trace, dsp.PeakDetectParams(threshold, min_distance))
     trace_io.write_peaks(peaks, args.out)
     return 0

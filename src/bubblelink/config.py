@@ -17,8 +17,9 @@ overrides ``channel.rng_seed``.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -33,6 +34,16 @@ SEED_ENV_VAR = "BUBBLELINK_SEED"
 PRESETS = {"paper-like": "paper_like.cfg"}
 
 BRANCHES = ("raw", "maf", "kalman")
+
+KNOWN_KEYS = frozenset(
+    [f"timing.{f.name}" for f in fields(TimingParams)]
+    + [f"channel.{f.name}" for f in fields(ChannelParams)]
+    + [f"maf.{f.name}" for f in fields(MafParams)]
+    + [f"kalman.{f.name}" for f in fields(KalmanParams)]
+    + [f"peak.threshold.{b}" for b in BRANCHES]
+    + ["peak.threshold", "peak.min_distance", "tolerance", "decode.window", "dose", "preamble",
+       "bits.value", "bits.length", "bits.seed"]
+)
 
 
 @dataclass(frozen=True)
@@ -85,11 +96,14 @@ def _get(values: dict[str, str], key: str, kind: type, default=_REQUIRED):
             raise ValidationError(f"config: missing required key {key!r}")
         return default
     try:
-        return kind(values[key])
+        value = kind(values[key])
     except ValueError:
         raise ValidationError(
             f"config key {key!r}: cannot parse {values[key]!r} as {_KIND_NAMES[kind]}"
         ) from None
+    if not math.isfinite(value):
+        raise ValidationError(f"config key {key!r}: {values[key]!r} is not finite")
+    return value
 
 
 def _resolve_payload(values: dict[str, str]) -> Bits:
@@ -198,7 +212,8 @@ def merge_values(
     """Merge preset, then config file, then overrides into one key=value dict.
 
     Override keys replace base keys; setting ``bits.length`` in the overrides
-    discards any ``bits.value`` from the base (and vice versa).
+    discards any ``bits.value`` from the base (and vice versa). A key not in
+    ``KNOWN_KEYS`` is rejected, so a misspelt key cannot be silently ignored.
     """
     values: dict[str, str] = {}
     if preset is not None:
@@ -213,6 +228,9 @@ def merge_values(
             values.pop("bits.length", None)
             values.pop("bits.seed", None)
         values.update(overrides)
+    unknown = sorted(set(values) - KNOWN_KEYS)
+    if unknown:
+        raise ValidationError(f"config: unknown key {', '.join(map(repr, unknown))}")
     return values
 
 

@@ -13,6 +13,7 @@ interpretations are supported:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -66,6 +67,8 @@ class InjectionSchedule:
     def __post_init__(self):
         events = tuple(InjectionEvent(*map(float, e)) for e in self.events)
         for ev in events:
+            if not all(map(math.isfinite, ev)):
+                raise ValidationError("event start, duration and dose must be finite")
             if not ev.dose > 0:
                 raise ValidationError("event dose must be positive")
             if not ev.duration > 0:

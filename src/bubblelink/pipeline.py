@@ -110,14 +110,6 @@ def _write_tree(
         ]
         with open(os.path.join(out_dir, f"{name}_report.csv"), "w", encoding="utf-8", newline="") as fh:
             trace_io.write_report(fh, m, res.report, extra)
-    _write_comparison(results, os.path.join(out_dir, "comparison.csv"))
-
-
-def _write_comparison(results: dict[str, BranchResult], path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("branch,precision,recall,f1,ber,bsr\n")
-        for name in BRANCHES:
-            r = results[name].report
-            fh.write(
-                f"{name},{r.precision:.9g},{r.recall:.9g},{r.f1:.9g},{r.ber:.9g},{r.bsr:.9g}\n"
-            )
+    trace_io.write_comparison(
+        {name: res.report for name, res in results.items()}, os.path.join(out_dir, "comparison.csv")
+    )

@@ -9,8 +9,10 @@ precision.
 from __future__ import annotations
 
 import csv
+import math
 import os
-from typing import Sequence, TextIO
+from itertools import chain, starmap
+from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -24,109 +26,113 @@ SPACING_TOLERANCE = 1e-6  # s, absorbs float printing jitter
 TRACE_HEADER = ["time_s", "amplitude"]
 SCHEDULE_HEADER = ["start_s", "duration_s", "dose"]
 PEAKS_HEADER = ["time_s", "amplitude"]
+COMPARISON_HEADER = ["branch", "precision", "recall", "f1", "ber", "bsr"]
 
 
-def _read_rows(path: str | os.PathLike, expected_header: list[str]) -> list[list[str]]:
+def _read_table(path: str | os.PathLike, header: list[str]) -> np.ndarray:
+    """Read a numeric CSV with the given header row into a (rows, columns) array.
+
+    Every cell must hold a finite number; an error names the file, the row
+    (the header is row 1) and, for a bad cell, the column.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
+        rows = list(csv.reader(fh))
     if not rows:
-        raise FormatError(f"{path}: file is empty, expected header {','.join(expected_header)}")
-    header = [c.strip() for c in rows[0]]
-    if header != expected_header:
-        raise FormatError(
-            f"{path}: bad header {','.join(header)!r}, expected {','.join(expected_header)!r}"
-        )
-    return rows[1:]
+        raise FormatError(f"{path}: file is empty, expected header {','.join(header)}")
+    found = [c.strip() for c in rows[0]]
+    if found != header:
+        raise FormatError(f"{path}: bad header {','.join(found)!r}, expected {','.join(header)!r}")
+    body = rows[1:]
+    if set(map(len, body)) <= {len(header)}:
+        cells = map(float, chain.from_iterable(body))
+        try:
+            table = np.fromiter(cells, float, len(body) * len(header))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(table).all():
+                return table.reshape(len(body), len(header))
+    # The whole-table parse failed: find the first bad row, in file order.
+    for i, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise FormatError(f"{path}: row {i}: expected {len(header)} columns, got {len(row)}")
+        for column, value in zip(header, row):
+            try:
+                number = float(value)
+            except ValueError:
+                raise FormatError(
+                    f"{path}: row {i}, column {column!r}: cannot parse {value!r} as a number"
+                ) from None
+            if not math.isfinite(number):
+                raise FormatError(f"{path}: row {i}, column {column!r}: {value!r} is not finite")
 
 
-def _parse_float(path, value: str, row: int, column: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise FormatError(
-            f"{path}: row {row}, column {column!r}: cannot parse {value!r} as a number"
-        ) from None
+def _write_table(
+    path: str | os.PathLike, header: list[str], row_format: str, rows: Iterable[Sequence]
+) -> None:
+    """Write a header row, then one ``row_format`` line per row."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(starmap((row_format + "\n").format, rows))
 
 
 def read_trace(path: str | os.PathLike) -> SensorTrace:
     """Read a `time_s,amplitude` CSV, validating uniform sample spacing."""
-    rows = _read_rows(path, TRACE_HEADER)
-    if not rows:
+    table = _read_table(path, TRACE_HEADER)
+    if len(table) == 0:
         raise FormatError(f"{path}: no data rows (empty trace file)")
-    if len(rows) < 2:
+    if len(table) < 2:
         raise FormatError(f"{path}: at least two rows are needed to infer the sample interval")
-    times = []
-    amps = []
-    for i, row in enumerate(rows, start=2):  # 1-based file rows, header is row 1
-        if len(row) != 2:
-            raise FormatError(f"{path}: row {i}: expected 2 columns, got {len(row)}")
-        times.append(_parse_float(path, row[0], i, "time_s"))
-        amps.append(_parse_float(path, row[1], i, "amplitude"))
-    dt = times[1] - times[0]
+    times = table[:, 0]
+    dt = float(times[1] - times[0])
     if not dt > 0:
         raise FormatError(f"{path}: row 3: times must be strictly ascending")
-    for i in range(2, len(times)):
-        if abs(times[i] - times[i - 1] - dt) > SPACING_TOLERANCE:
-            raise FormatError(
-                f"{path}: row {i + 2}: non-uniform sample spacing "
-                f"({times[i] - times[i - 1]:.6g} s vs expected {dt:.6g} s)"
-            )
-    return SensorTrace(sample_interval=dt, t0=times[0], samples=np.array(amps))
+    steps = np.diff(times)
+    bad = np.flatnonzero(np.abs(steps - dt) > SPACING_TOLERANCE)
+    if bad.size:
+        k = bad[0]
+        raise FormatError(
+            f"{path}: row {k + 3}: non-uniform sample spacing "
+            f"({steps[k]:.6g} s vs expected {dt:.6g} s)"
+        )
+    return SensorTrace(sample_interval=dt, t0=float(times[0]), samples=table[:, 1].copy())
 
 
 def write_trace(trace: SensorTrace, path: str | os.PathLike) -> None:
-    starts = trace.bin_starts()
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(TRACE_HEADER) + "\n")
-        for t, a in zip(starts, trace.samples):
-            fh.write(f"{t:.6f},{a:.9g}\n")
+    # Python floats format faster than numpy scalars, to the same text
+    rows = zip(map(float, trace.bin_starts()), map(float, trace.samples))
+    _write_table(path, TRACE_HEADER, "{:.6f},{:.9g}", rows)
 
 
 def read_schedule(path: str | os.PathLike) -> InjectionSchedule:
-    rows = _read_rows(path, SCHEDULE_HEADER)
-    events = []
-    for i, row in enumerate(rows, start=2):
-        if len(row) != 3:
-            raise FormatError(f"{path}: row {i}: expected 3 columns, got {len(row)}")
-        start = _parse_float(path, row[0], i, "start_s")
-        duration = _parse_float(path, row[1], i, "duration_s")
-        dose = _parse_float(path, row[2], i, "dose")
-        events.append(InjectionEvent(start, duration, dose))
+    events = tuple(InjectionEvent(*row) for row in _read_table(path, SCHEDULE_HEADER).tolist())
     span = events[-1].start + events[-1].duration if events else 0.0
     try:
-        return InjectionSchedule(tuple(events), span)
+        return InjectionSchedule(events, span)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def write_schedule(schedule: InjectionSchedule, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(SCHEDULE_HEADER) + "\n")
-        for e in schedule.events:
-            fh.write(f"{e.start:.6f},{e.duration:.6f},{e.dose:.9g}\n")
+    _write_table(path, SCHEDULE_HEADER, "{:.6f},{:.6f},{:.9g}", schedule.events)
 
 
 def read_peaks(path: str | os.PathLike) -> PeakSet:
-    rows = _read_rows(path, PEAKS_HEADER)
-    peaks = []
-    for i, row in enumerate(rows, start=2):
-        if len(row) != 2:
-            raise FormatError(f"{path}: row {i}: expected 2 columns, got {len(row)}")
-        t = _parse_float(path, row[0], i, "time_s")
-        a = _parse_float(path, row[1], i, "amplitude")
-        peaks.append(Peak(t, a))
+    peaks = tuple(Peak(*row) for row in _read_table(path, PEAKS_HEADER).tolist())
     try:
-        return PeakSet(tuple(peaks))
+        return PeakSet(peaks)
     except ValidationError as exc:
         raise FormatError(f"{path}: {exc}") from None
 
 
 def write_peaks(peaks: PeakSet, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(PEAKS_HEADER) + "\n")
-        for p in peaks.peaks:
-            fh.write(f"{p.time:.6f},{p.amplitude:.9g}\n")
+    _write_table(path, PEAKS_HEADER, "{:.6f},{:.9g}", peaks.peaks)
+
+
+def write_comparison(reports: Mapping[str, MetricsReport], path: str | os.PathLike) -> None:
+    """Write one `branch,precision,recall,f1,ber,bsr` row per branch, in mapping order."""
+    rows = ((name, r.precision, r.recall, r.f1, r.ber, r.bsr) for name, r in reports.items())
+    _write_table(path, COMPARISON_HEADER, "{}" + ",{:.9g}" * 5, rows)
 
 
 def read_bits(path: str | os.PathLike) -> Bits:

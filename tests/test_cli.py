@@ -227,20 +227,37 @@ class TestExitCodes:
         rc = main(["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
 
-    def test_invalid_timing_is_validation_error(self, tmp_path):
-        rc = main(["encode", "--bits", "101", "--t-on", "2.0", "--t-off", "0.3",
-                   "--out", str(tmp_path / "s.csv")])
+    @pytest.mark.parametrize("argv, message", [
+        ("encode --bits 101 --t-on 2.0 --t-off 0.3", "t_off must be >= t_on"),
+        ("encode --bits 101 --t-on 0.3 --t-off 2.0 --dose inf", "must be finite"),
+        ("filter --in {trace} --method maf --window 0", "window must be at least 1"),
+        ("filter --in {trace} --method kalman --q 0.5", "--q needs --r"),
+        ("filter --in {trace} --method kalman --r 0.5", "--r needs --q"),
+        ("detect --in {trace} --min-distance 0", "min_distance must be at least 1"),
+    ], ids=["encode-t_off-below-t_on", "encode-dose-inf", "filter-window-0",
+            "filter-q-without-r", "filter-r-without-q", "detect-min-distance-0"])
+    def test_invalid_argument_is_validation_error(self, tmp_path, capsys, argv, message):
+        trace_f = tmp_path / "t.csv"
+        write_trace(SensorTrace(0.04, 0.0, np.abs(np.sin(np.arange(100) / 5))), trace_f)
+        out = tmp_path / "out.csv"
+        rc = main([*(a.format(trace=trace_f) for a in argv.split()), "--out", str(out)])
         assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_encode_requires_bits(self, tmp_path):
         rc = main(["encode", "--t-on", "0.3", "--t-off", "2.0", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
 
-    def test_non_numeric_threshold_is_validation_error(self, tmp_path, capsys):
-        rc = main(["pipeline", "--preset", "paper-like", "--set", "peak.threshold.raw=abc",
-                   "--out-dir", str(tmp_path / "out")])
+    @pytest.mark.parametrize("setting", [
+        "peak.threshold.raw=abc", "channel.echo_cutoff=inf", "dose=nan", "peak.treshold=9",
+    ])
+    def test_bad_config_setting_names_key(self, tmp_path, capsys, setting):
+        out = tmp_path / "out"
+        rc = main(["pipeline", "--preset", "paper-like", "--set", setting, "--out-dir", str(out)])
         assert rc == 2
-        assert "peak.threshold.raw" in capsys.readouterr().err
+        assert repr(setting.partition("=")[0]) in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_input_file_is_validation_error(self, tmp_path):
         bad = tmp_path / "bad.csv"

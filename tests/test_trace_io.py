@@ -116,6 +116,23 @@ class TestPeakFiles:
             read_peaks(p)
 
 
+@pytest.mark.parametrize("read, text", [
+    (read_trace, "time_s,amplitude\n0.00,0.0\n0.04,{}\n0.08,0.5\n"),
+    (read_schedule, "start_s,duration_s,dose\n0.0,0.3,1.0\n2.3,0.3,{}\n4.6,0.3,1.0\n"),
+    (read_peaks, "time_s,amplitude\n0.15,1.0\n2.45,{}\n4.75,1.0\n"),
+], ids=["trace", "schedule", "peaks"])
+@pytest.mark.parametrize("cell, error", [
+    ("nan", r"row 3, column '\w+': 'nan' is not finite"),
+    ("-inf", r"row 3, column '\w+': '-inf' is not finite"),
+    ("1.0,2.0", r"row 3: expected \d columns, got \d"),
+], ids=["nan", "-inf", "extra-column"])
+def test_bad_row_is_named(tmp_path, read, text, cell, error):
+    p = tmp_path / "f.csv"
+    p.write_text(text.format(cell))
+    with pytest.raises(FormatError, match=f"f.csv: {error}$"):
+        read(p)
+
+
 class TestBitFiles:
     def test_read_bits(self, tmp_path):
         p = tmp_path / "b.txt"
