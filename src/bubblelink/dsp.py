@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +43,8 @@ class PeakDetectParams:
     min_distance: int
 
     def __post_init__(self):
+        if not math.isfinite(self.threshold):
+            raise ValidationError("threshold must be finite")
         if self.min_distance < 1:
             raise ValidationError("min_distance must be at least 1 sample")
 
@@ -111,19 +115,15 @@ def kalman_variance_fixed_point(q: float, r: float) -> float:
 
 def peak_candidates(samples: np.ndarray, threshold: float) -> list[int]:
     """Local maxima at or above threshold; plateaus yield their first index."""
-    n = len(samples)
-    idx = []
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and samples[j + 1] == samples[i]:
-            j += 1
-        left_ok = i == 0 or samples[i - 1] < samples[i]
-        right_ok = j == n - 1 or samples[j + 1] < samples[i]
-        if left_ok and right_ok and samples[i] >= threshold:
-            idx.append(i)
-        i = j + 1
-    return idx
+    x = np.asarray(samples)
+    if len(x) == 0:
+        return []
+    starts = np.flatnonzero(np.concatenate(([True], x[1:] != x[:-1])))  # run starts
+    values = x[starts]
+    keep = values >= threshold
+    keep[1:] &= values[:-1] < values[1:]  # above the previous run
+    keep[:-1] &= values[1:] < values[:-1]  # above the next run
+    return starts[keep].tolist()
 
 
 def detect_peaks(trace: SensorTrace, params: PeakDetectParams) -> PeakSet:
@@ -136,11 +136,13 @@ def detect_peaks(trace: SensorTrace, params: PeakDetectParams) -> PeakSet:
     x = trace.samples
     candidates = peak_candidates(x, params.threshold)
     order = sorted(candidates, key=lambda i: (-x[i], i))
-    accepted: list[int] = []
+    accepted: list[int] = []  # kept sorted, so only the two neighbours of i can be too close
     for i in order:
-        if all(abs(i - j) >= params.min_distance for j in accepted):
-            accepted.append(i)
-    accepted.sort()
+        k = bisect_left(accepted, i)
+        if (k == 0 or i - accepted[k - 1] >= params.min_distance) and (
+            k == len(accepted) or accepted[k] - i >= params.min_distance
+        ):
+            accepted.insert(k, i)
     dt = trace.sample_interval
     peaks = tuple(Peak(trace.t0 + (i + 0.5) * dt, float(x[i])) for i in accepted)
     return PeakSet(peaks)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import UndefinedMetricError, ValidationError
@@ -44,7 +45,10 @@ def match_peaks(detected: PeakSet, truth: InjectionSchedule, tolerance: float) -
     for tt in truth_times:
         best = None
         best_key = None
-        for j, dt_ in enumerate(det_times):
+        # the +-2*tolerance range holds every detection the exact test below accepts
+        lo = bisect_left(det_times, tt - 2 * tolerance)
+        hi = bisect_right(det_times, tt + 2 * tolerance)
+        for j, dt_ in enumerate(det_times[lo:hi], lo):
             if matched[j]:
                 continue
             dist = abs(dt_ - tt)

@@ -14,6 +14,7 @@ interpretations are supported:
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Sequence
@@ -153,8 +154,8 @@ def decode(
     """
     if timing.mode is not TimingMode.FRAMED_SYMBOL:
         raise UnsupportedModeError("decode is only defined for framed-symbol timing")
-    if delay < 0:
-        raise ValidationError("delay must be non-negative")
+    if not (math.isfinite(delay) and delay >= 0):
+        raise ValidationError("delay must be finite and non-negative")
     if n_bits < 0:
         raise ValidationError("n_bits must be non-negative")
     t_sym = timing.symbol_duration
@@ -164,7 +165,10 @@ def decode(
     bits = []
     for i in range(n_bits):
         center = delay + i * t_sym + timing.t_on / 2
-        hit = any(abs(t - center) <= window for t in times)
+        # the +-2*window range holds every peak the exact test below accepts
+        lo = bisect_left(times, center - 2 * window)
+        hi = bisect_right(times, center + 2 * window)
+        hit = any(abs(t - center) <= window for t in times[lo:hi])
         bits.append(1 if hit else 0)
     return bits
 

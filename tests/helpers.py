@@ -76,3 +76,49 @@ def oracle_max_matching(truth_times, det_times, tolerance):
         return best
 
     return rec(0, frozenset())
+
+
+def brute_greedy_detect(x, threshold, min_distance):
+    """Greedy suppression checking every kept peak: candidates in descending
+    amplitude (ties to the earlier index), each kept only if it is at least
+    ``min_distance`` samples from all peaks kept so far. O(n^2)."""
+    accepted = []
+    for i in sorted(oracle_candidates(x, threshold), key=lambda i: (-x[i], i)):
+        if all(abs(i - j) >= min_distance for j in accepted):
+            accepted.append(i)
+    return sorted(accepted)
+
+
+def brute_greedy_match(truth_times, det_times, tolerance):
+    """Truths in order, each paired with the nearest unpaired detection within
+    ``tolerance`` (ties to the earlier one), checking every detection."""
+    used = set()
+    pairs = []
+    for tt in truth_times:
+        near = [
+            (abs(d - tt), d, j)
+            for j, d in enumerate(det_times)
+            if j not in used and abs(d - tt) <= tolerance
+        ]
+        if near:
+            _, d, j = min(near)
+            used.add(j)
+            pairs.append((tt, d))
+    return pairs
+
+
+def brute_decode(peak_times, delay, t_on, t_sym, n_bits, window):
+    """Bit i is 1 iff any peak lies within ``window`` of its frame's nominal
+    peak, checking every peak for every bit."""
+    return [
+        int(any(abs(t - (delay + i * t_sym + t_on / 2)) <= window for t in peak_times))
+        for i in range(n_bits)
+    ]
+
+
+def full_axis_signal(passes, times):
+    """Sum of (centre, amplitude, sigma) Gaussians, each over every sample, in order."""
+    x = np.zeros(len(times))
+    for center, amp, sigma in passes:
+        x += amp * np.exp(-((times - center) ** 2) / (2.0 * sigma**2))
+    return x

@@ -234,13 +234,22 @@ class TestExitCodes:
         ("filter --in {trace} --method kalman --q 0.5", "--q needs --r"),
         ("filter --in {trace} --method kalman --r 0.5", "--r needs --q"),
         ("detect --in {trace} --min-distance 0", "min_distance must be at least 1"),
+        ("detect --in {trace} --threshold nan", "threshold must be finite"),
+        ("decode --peaks {peaks} --t-on 0.3 --t-off 2.0 --delay nan --n-bits 4",
+         "delay must be finite"),
+        ("decode --peaks {peaks} --t-on 0.3 --t-off 2.0 --delay inf --n-bits 4",
+         "delay must be finite"),
     ], ids=["encode-t_off-below-t_on", "encode-dose-inf", "filter-window-0",
-            "filter-q-without-r", "filter-r-without-q", "detect-min-distance-0"])
+            "filter-q-without-r", "filter-r-without-q", "detect-min-distance-0",
+            "detect-threshold-nan", "decode-delay-nan", "decode-delay-inf"])
     def test_invalid_argument_is_validation_error(self, tmp_path, capsys, argv, message):
         trace_f = tmp_path / "t.csv"
         write_trace(SensorTrace(0.04, 0.0, np.abs(np.sin(np.arange(100) / 5))), trace_f)
+        peaks_f = tmp_path / "p.csv"
+        peaks_f.write_text("time_s,amplitude\n0.3,1.0\n")
         out = tmp_path / "out.csv"
-        rc = main([*(a.format(trace=trace_f) for a in argv.split()), "--out", str(out)])
+        argv = [a.format(trace=trace_f, peaks=peaks_f) for a in argv.split()]
+        rc = main([*argv, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()

@@ -37,6 +37,16 @@ class TestMatchPeaks:
         m = match_peaks(detected, truth, 0.5)
         assert m.pairs == ((5.0, 4.8),)
 
+    def test_detection_exactly_at_tolerance_matches(self):
+        # truth 0.1 + 0.2 + 0.3/2 and tolerance 0.1 + 0.2: the detection at
+        # 0.15 is within tolerance, yet below the float truth - tolerance
+        below = InjectionSchedule((InjectionEvent(0.1 + 0.2, 0.3, 1.0),), 2.3)
+        assert match_peaks(PeakSet.from_times([0.15]), below, 0.1 + 0.2).tp == 1
+        # truth 0.7 + 0.2/2 = 0.7999999999999999 and tolerance 1.0: the
+        # detection at 1.8 lies above the float truth + tolerance
+        above = InjectionSchedule((InjectionEvent(0.7, 0.2, 1.0),), 2.3)
+        assert match_peaks(PeakSet.from_times([1.8]), above, 1.0).tp == 1
+
     def test_pairs_within_tolerance(self):
         truth = schedule_from_midtimes([1.0, 4.0, 8.0])
         detected = PeakSet.from_times([0.7, 4.4, 9.5])

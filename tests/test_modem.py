@@ -161,6 +161,18 @@ class TestDecode:
             decode(PeakSet(()), PAPER_TIMING, 0.0, 1, 2.0)  # > T_sym/2
         with pytest.raises(ValidationError):
             decode(PeakSet(()), PAPER_TIMING, -0.1, 1, 1.0)
+        for delay in (float("nan"), float("inf")):
+            with pytest.raises(ValidationError, match="finite"):
+                decode(PeakSet(()), PAPER_TIMING, delay, 1, 1.0)
+
+    def test_peak_exactly_one_window_from_centre_is_a_one(self):
+        # centre 0.1 + 0.2 + 0.3/2 and window 0.1 + 0.2: the peak at 0.15 is
+        # within the window, yet below the float centre - window, 0.15000000000000002
+        lower = decode(PeakSet.from_times([0.15]), PAPER_TIMING, 0.1 + 0.2, 1, 0.1 + 0.2)
+        # centre 0.1 + 0.2/2 = 0.2 and window 0.7: the peak at 0.9 lies above
+        # the float centre + window, 0.8999999999999999
+        upper = decode(PeakSet.from_times([0.9]), TimingParams(0.2, 2.0), 0.1, 1, 0.7)
+        assert lower == upper == [1]
 
     def test_noiseless_round_trip(self):
         rng = np.random.Generator(np.random.PCG64(11))
