@@ -31,6 +31,9 @@ class KalmanParams:
     p0: float
 
     def __post_init__(self):
+        for name in ("q", "r", "x0", "p0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if self.q < 0 or self.p0 < 0:
             raise ValidationError("q and p0 must be non-negative")
         if not self.r > 0:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from itertools import chain, starmap
+from itertools import chain, islice
 from typing import Iterable, Mapping, Sequence, TextIO
 
 import numpy as np
@@ -22,6 +22,7 @@ from .modem import Bits, InjectionEvent, InjectionSchedule, parse_bits, validate
 from .signals import Peak, PeakSet, SensorTrace
 
 SPACING_TOLERANCE = 1e-6  # s, absorbs float printing jitter
+BLOCK_ROWS = 1024  # rows per formatted write; larger blocks raised peak memory, not speed
 
 TRACE_HEADER = ["time_s", "amplitude"]
 SCHEDULE_HEADER = ["start_s", "duration_s", "dose"]
@@ -70,10 +71,17 @@ def _read_table(path: str | os.PathLike, header: list[str]) -> np.ndarray:
 def _write_table(
     path: str | os.PathLike, header: list[str], row_format: str, rows: Iterable[Sequence]
 ) -> None:
-    """Write a header row, then one ``row_format`` line per row."""
+    """Write a header row, then one %-style ``row_format`` line per row.
+
+    Rows are taken ``BLOCK_ROWS`` at a time; each block is one %-format of
+    the repeated line over its flattened values and one write.
+    """
+    line = row_format + "\n"
+    rows = iter(rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(starmap((row_format + "\n").format, rows))
+        while block := list(islice(rows, BLOCK_ROWS)):
+            fh.write(line * len(block) % tuple(chain.from_iterable(block)))
 
 
 def read_trace(path: str | os.PathLike) -> SensorTrace:
@@ -99,9 +107,13 @@ def read_trace(path: str | os.PathLike) -> SensorTrace:
 
 
 def write_trace(trace: SensorTrace, path: str | os.PathLike) -> None:
-    # Python floats format faster than numpy scalars, to the same text
-    rows = zip(map(float, trace.bin_starts()), map(float, trace.samples))
-    _write_table(path, TRACE_HEADER, "{:.6f},{:.9g}", rows)
+    # converted to Python floats a block at a time: a whole-trace tolist() raises peak memory
+    times, samples = trace.bin_starts(), trace.samples
+    rows = chain.from_iterable(
+        zip(times[a : a + BLOCK_ROWS].tolist(), samples[a : a + BLOCK_ROWS].tolist())
+        for a in range(0, len(samples), BLOCK_ROWS)
+    )
+    _write_table(path, TRACE_HEADER, "%.6f,%.9g", rows)
 
 
 def read_schedule(path: str | os.PathLike) -> InjectionSchedule:
@@ -114,7 +126,7 @@ def read_schedule(path: str | os.PathLike) -> InjectionSchedule:
 
 
 def write_schedule(schedule: InjectionSchedule, path: str | os.PathLike) -> None:
-    _write_table(path, SCHEDULE_HEADER, "{:.6f},{:.6f},{:.9g}", schedule.events)
+    _write_table(path, SCHEDULE_HEADER, "%.6f,%.6f,%.9g", schedule.events)
 
 
 def read_peaks(path: str | os.PathLike) -> PeakSet:
@@ -126,13 +138,13 @@ def read_peaks(path: str | os.PathLike) -> PeakSet:
 
 
 def write_peaks(peaks: PeakSet, path: str | os.PathLike) -> None:
-    _write_table(path, PEAKS_HEADER, "{:.6f},{:.9g}", peaks.peaks)
+    _write_table(path, PEAKS_HEADER, "%.6f,%.9g", peaks.peaks)
 
 
 def write_comparison(reports: Mapping[str, MetricsReport], path: str | os.PathLike) -> None:
     """Write one `branch,precision,recall,f1,ber,bsr` row per branch, in mapping order."""
     rows = ((name, r.precision, r.recall, r.f1, r.ber, r.bsr) for name, r in reports.items())
-    _write_table(path, COMPARISON_HEADER, "{}" + ",{:.9g}" * 5, rows)
+    _write_table(path, COMPARISON_HEADER, "%s" + ",%.9g" * 5, rows)
 
 
 def read_bits(path: str | os.PathLike) -> Bits:

@@ -122,3 +122,16 @@ def full_axis_signal(passes, times):
     for center, amp, sigma in passes:
         x += amp * np.exp(-((times - center) ** 2) / (2.0 * sigma**2))
     return x
+
+
+def per_row_csv(header, row_format, rows):
+    """CSV text made one ``str.format`` call per row, as the row-at-a-time
+    writer made it: the header line, then ``row_format`` and LF per row."""
+    return ",".join(header) + "\n" + "".join(row_format.format(*row) + "\n" for row in rows)
+
+
+def per_row_trace_csv(samples, sample_interval, t0):
+    """Trace CSV text: bin start ``t0 + k*dt`` with 6 decimals and the
+    amplitude with 9 significant digits, one row at a time."""
+    rows = ((t0 + k * sample_interval, float(x)) for k, x in enumerate(samples))
+    return per_row_csv(["time_s", "amplitude"], "{:.6f},{:.9g}", rows)

@@ -239,9 +239,13 @@ class TestExitCodes:
          "delay must be finite"),
         ("decode --peaks {peaks} --t-on 0.3 --t-off 2.0 --delay inf --n-bits 4",
          "delay must be finite"),
+        ("filter --in {trace} --method kalman --q nan --r 1", "q must be finite"),
+        ("filter --in {trace} --method kalman --q 1 --r inf", "r must be finite"),
+        ("filter --in {trace} --method kalman --q 1 --r 1 --x0 inf", "x0 must be finite"),
     ], ids=["encode-t_off-below-t_on", "encode-dose-inf", "filter-window-0",
             "filter-q-without-r", "filter-r-without-q", "detect-min-distance-0",
-            "detect-threshold-nan", "decode-delay-nan", "decode-delay-inf"])
+            "detect-threshold-nan", "decode-delay-nan", "decode-delay-inf",
+            "filter-kalman-q-nan", "filter-kalman-r-inf", "filter-kalman-x0-inf"])
     def test_invalid_argument_is_validation_error(self, tmp_path, capsys, argv, message):
         trace_f = tmp_path / "t.csv"
         write_trace(SensorTrace(0.04, 0.0, np.abs(np.sin(np.arange(100) / 5))), trace_f)

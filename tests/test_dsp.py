@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -106,6 +108,11 @@ class TestKalmanFilter:
             KalmanParams(q=-1.0, r=1.0, x0=0.0, p0=1.0)
         with pytest.raises(ValidationError):
             KalmanParams(q=1.0, r=0.0, x0=0.0, p0=1.0)
+        for field in ("q", "r", "x0", "p0"):
+            for bad in (math.nan, math.inf, -math.inf):
+                values = {"q": 1.0, "r": 1.0, "x0": 0.0, "p0": 1.0, field: bad}
+                with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+                    KalmanParams(**values)
 
 
 class TestDetectPeaks:

@@ -1,5 +1,6 @@
 """Property tests: the windowed and bisect-based receive chain against
-brute-force references in ``helpers`` that check every sample or peak."""
+brute-force references in ``helpers`` that check every sample or peak, and
+the block-formatted CSV writer against per-row ``str.format`` text."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -11,12 +12,21 @@ from helpers import (
     brute_greedy_match,
     full_axis_signal,
     oracle_candidates,
+    per_row_csv,
+    per_row_trace_csv,
 )
 from bubblelink.channel import ChannelParams, clean_signal, echo_passes
 from bubblelink.dsp import PeakDetectParams, detect_peaks, peak_candidates
-from bubblelink.metrics import match_peaks
+from bubblelink.metrics import MetricsReport, match_peaks
 from bubblelink.modem import InjectionEvent, InjectionSchedule, TimingParams, decode
-from bubblelink.signals import PeakSet, SensorTrace
+from bubblelink.signals import Peak, PeakSet, SensorTrace
+from bubblelink.trace_io import (
+    BLOCK_ROWS,
+    write_comparison,
+    write_peaks,
+    write_schedule,
+    write_trace,
+)
 
 PROPERTY = settings(deadline=None, max_examples=100)
 
@@ -124,3 +134,46 @@ def test_clean_signal_keeps_terms_just_inside_radius():
     x = clean_signal(schedule, params, times)
     assert np.array_equal(x, full_axis_signal([(center, 1.0, sigma)], times))
     assert np.all(x[1:-1] > 0)  # at 38.5 sigma the term is a subnormal, not 0.0
+
+
+# signs, both zeros, subnormals and magnitudes up to 1e300, next to arbitrary floats
+amplitudes = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.floats(-1e300, 1e300),
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]),
+    st.lists(amplitudes, min_size=1, max_size=16),
+    st.floats(1e-6, 10.0),
+    st.floats(-1e4, 1e4),
+)
+def test_write_trace_matches_per_row_format(tmp_path_factory, n, values, dt, t0):
+    samples = np.resize(np.array(values), n)  # repeats the drawn values to n samples
+    path = tmp_path_factory.getbasetemp() / "blocked_trace.csv"
+    write_trace(SensorTrace(dt, t0, samples), path)
+    assert path.read_bytes() == per_row_trace_csv(samples, dt, t0).encode()
+
+
+def test_small_tables_match_per_row_format(tmp_path):
+    events = (InjectionEvent(0, 0.3, 1), InjectionEvent(2.0000004, 0.1 + 0.2, 1e-7))
+    write_schedule(InjectionSchedule(events, 10.0), tmp_path / "s.csv")
+    expected = per_row_csv(["start_s", "duration_s", "dose"], "{:.6f},{:.6f},{:.9g}", events)
+    assert (tmp_path / "s.csv").read_bytes() == expected.encode()
+
+    peaks = (Peak(0.02, -0.0), Peak(1 / 3, 123456789.5), Peak(7.5, 5e-324))
+    write_peaks(PeakSet(peaks), tmp_path / "p.csv")
+    expected = per_row_csv(["time_s", "amplitude"], "{:.6f},{:.9g}", peaks)
+    assert (tmp_path / "p.csv").read_bytes() == expected.encode()
+
+    reports = {
+        "raw": MetricsReport(1 / 3, 1.0, 0.5, 0, 2 / 3, 7),
+        "kalman": MetricsReport(0.0, 0.0, 0.0, 1.25, 0.1 + 0.2, 0),
+    }
+    write_comparison(reports, tmp_path / "c.csv")
+    rows = [(name, r.precision, r.recall, r.f1, r.ber, r.bsr) for name, r in reports.items()]
+    header = ["branch", "precision", "recall", "f1", "ber", "bsr"]
+    expected = per_row_csv(header, "{}" + ",{:.9g}" * 5, rows)
+    assert (tmp_path / "c.csv").read_bytes() == expected.encode()
