@@ -19,14 +19,12 @@ from .errors import (
     FormatError,
     ResourceLimitError,
     UndefinedMetricError,
-    UnsupportedModeError,
     ValidationError,
 )
 from .metrics import MatchResult, MetricsReport, ber, bsr, build_report, f1_score, match_peaks
 from .modem import (
     InjectionEvent,
     InjectionSchedule,
-    TimingMode,
     TimingParams,
     decode,
     duty_efficiency,

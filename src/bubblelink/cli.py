@@ -13,12 +13,12 @@ from . import config as cfgmod
 from . import dsp, metrics, plot, trace_io
 from .channel import simulate
 from .errors import ResourceLimitError, ValidationError
-from .modem import TimingMode, TimingParams, decode, encode, parse_bits
+from .modem import TimingParams, decode, encode, parse_bits
 from .pipeline import run_pipeline
 
 
 def _timing_from_args(args) -> TimingParams:
-    return TimingParams(t_on=args.t_on, t_off=args.t_off, mode=TimingMode(args.mode))
+    return TimingParams(t_on=args.t_on, t_off=args.t_off)
 
 
 def _collect_values(args) -> dict[str, str]:
@@ -131,7 +131,6 @@ def cmd_plot(args) -> int:
 def _add_timing_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--t-on", type=float, required=True, help="injection duration in seconds")
     p.add_argument("--t-off", type=float, required=True, help="idle duration in seconds")
-    p.add_argument("--mode", choices=["framed", "variable"], default="framed")
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
@@ -179,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("decode", help="peaks CSV -> bits (framed mode)")
+    p = sub.add_parser("decode", help="peaks CSV -> bits")
     p.add_argument("--peaks", required=True)
     _add_timing_flags(p)
     p.add_argument("--delay", type=float, required=True, help="channel delay in seconds")

@@ -26,8 +26,9 @@ import numpy as np
 
 from .channel import ChannelParams
 from .dsp import KalmanParams, MafParams, default_maf_window, default_min_distance
-from .errors import ValidationError
-from .modem import Bits, TimingMode, TimingParams, parse_bits
+from .errors import ResourceLimitError, ValidationError
+from .modem import Bits, TimingParams, parse_bits
+from .trace_io import open_text
 
 SEED_ENV_VAR = "BUBBLELINK_SEED"
 
@@ -119,20 +120,6 @@ def _resolve_payload(values: dict[str, str]) -> Bits:
     raise ValidationError("config: provide bits.value or bits.length")
 
 
-def build_timing(values: dict[str, str]) -> TimingParams:
-    try:
-        mode = TimingMode(values.get("timing.mode", "framed"))
-    except ValueError:
-        raise ValidationError(
-            f"timing.mode must be 'framed' or 'variable', got {values['timing.mode']!r}"
-        ) from None
-    return TimingParams(
-        t_on=_get(values, "timing.t_on", float),
-        t_off=_get(values, "timing.t_off", float),
-        mode=mode,
-    )
-
-
 def build_channel(values: dict[str, str]) -> ChannelParams:
     seed = _get(values, "channel.rng_seed", int, 0)
     env_seed = os.environ.get(SEED_ENV_VAR)
@@ -161,7 +148,9 @@ def build_channel(values: dict[str, str]) -> ChannelParams:
 
 
 def build_config(values: dict[str, str]) -> ExperimentConfig:
-    timing = build_timing(values)
+    timing = TimingParams(
+        t_on=_get(values, "timing.t_on", float), t_off=_get(values, "timing.t_off", float)
+    )
     channel = build_channel(values)
 
     dt = channel.sample_interval
@@ -188,6 +177,12 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     preamble = _get(values, "preamble", int, 1)
     if preamble < 1:
         raise ValidationError("preamble must be at least 1 (decode delay estimation needs it)")
+    # encode's span, which simulate's never undercuts: refuse an over-cap run before drawing bits
+    n_bits = preamble + _get(values, "bits.length", int, len(values.get("bits.value", "")))
+    n_samples = math.ceil(n_bits * timing.symbol_duration / dt - 1e-9)
+    if n_samples > channel.max_samples:
+        raise ResourceLimitError(f"{n_bits} bits need at least {n_samples} samples, over the "
+                                 f"channel.max_samples cap of {channel.max_samples}")
 
     return ExperimentConfig(
         timing=timing,
@@ -219,7 +214,7 @@ def merge_values(
     if preset is not None:
         values.update(parse_config_text(preset_text(preset)))
     if path is not None:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open_text(path) as fh:
             values.update(parse_config_text(fh.read()))
     if overrides:
         if "bits.length" in overrides:

@@ -110,12 +110,6 @@ def kalman_filter(trace: SensorTrace, params: KalmanParams) -> SensorTrace:
     return trace.with_samples(out)
 
 
-def kalman_variance_fixed_point(q: float, r: float) -> float:
-    """Steady-state posterior variance p* with p* = (p*+q) r / (p*+q+r)."""
-    # positive root of p^2 + q p - q r = 0
-    return (-q + np.sqrt(q * q + 4.0 * q * r)) / 2.0
-
-
 def peak_candidates(samples: np.ndarray, threshold: float) -> list[int]:
     """Local maxima at or above threshold; plateaus yield their first index."""
     x = np.asarray(samples)

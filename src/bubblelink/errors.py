@@ -12,10 +12,6 @@ class FormatError(ValidationError):
     """A data file violates its documented format contract."""
 
 
-class UnsupportedModeError(ValidationError):
-    """An operation was requested in a timing mode that does not support it."""
-
-
 class UndefinedMetricError(ValidationError):
     """A metric is undefined for the given inputs (e.g. zero denominator)."""
 

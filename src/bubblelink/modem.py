@@ -1,14 +1,8 @@
 """Time-based OOK modem: bits to injection schedules and back.
 
-A binary 1 is transmitted by injecting a microbubble bolus for ``t_on``
-seconds; a binary 0 is an idle period of ``t_off`` seconds. Two timeline
-interpretations are supported:
-
-* framed: every bit occupies a fixed frame of ``t_on + t_off`` seconds
-  (the decodable default),
-* variable: 1-bits consume ``t_on`` seconds and 0-bits ``t_off`` seconds
-  (rate accounting and encoding only; there is no receiver algorithm
-  for this interpretation).
+Every bit occupies one frame of ``T_sym = t_on + t_off`` seconds. A binary
+1 injects a microbubble bolus for ``t_on`` seconds at the frame start; a
+binary 0 leaves the frame idle. The receiver reads the frames back in order.
 """
 
 from __future__ import annotations
@@ -16,18 +10,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from enum import Enum
 from typing import NamedTuple, Sequence
 
-from .errors import UnsupportedModeError, ValidationError
+from .errors import ValidationError
 from .signals import PeakSet
 
 Bits = list[int]
-
-
-class TimingMode(Enum):
-    FRAMED_SYMBOL = "framed"
-    VARIABLE_LENGTH = "variable"
 
 
 @dataclass(frozen=True)
@@ -36,9 +24,11 @@ class TimingParams:
 
     t_on: float
     t_off: float
-    mode: TimingMode = TimingMode.FRAMED_SYMBOL
 
     def __post_init__(self):
+        for name in ("t_on", "t_off", "symbol_duration"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite")
         if not (self.t_on > 0 and self.t_off > 0):
             raise ValidationError("t_on and t_off must be positive")
         if self.t_off < self.t_on:
@@ -114,30 +104,15 @@ def parse_bits(text: str, source: str) -> Bits:
 def encode(bits: Sequence[int], timing: TimingParams, dose: float = 1.0) -> InjectionSchedule:
     """Encode a bit sequence into an injection schedule.
 
-    Framed mode places bit i in the frame [i*T_sym, (i+1)*T_sym); a 1 injects
-    for t_on at the frame start. Variable mode advances a cursor by t_on per
-    1-bit (injecting) and t_off per 0-bit (idle).
+    Bit i occupies the frame [i*T_sym, (i+1)*T_sym); a 1 injects for t_on at
+    the frame start.
     """
     bits = validate_bits(bits)
     if not dose > 0:
         raise ValidationError("dose must be positive")
-    events = []
-    if timing.mode is TimingMode.FRAMED_SYMBOL:
-        t_sym = timing.symbol_duration
-        for i, b in enumerate(bits):
-            if b:
-                events.append(InjectionEvent(i * t_sym, timing.t_on, dose))
-        span = len(bits) * t_sym
-    else:
-        cursor = 0.0
-        for b in bits:
-            if b:
-                events.append(InjectionEvent(cursor, timing.t_on, dose))
-                cursor += timing.t_on
-            else:
-                cursor += timing.t_off
-        span = cursor
-    return InjectionSchedule(tuple(events), span)
+    t_sym = timing.symbol_duration
+    events = tuple(InjectionEvent(i * t_sym, timing.t_on, dose) for i, b in enumerate(bits) if b)
+    return InjectionSchedule(events, len(bits) * t_sym)
 
 
 def decode(
@@ -147,13 +122,11 @@ def decode(
     n_bits: int,
     window: float,
 ) -> Bits:
-    """Decode detected peaks back into bits (framed mode only).
+    """Decode detected peaks back into bits, one frame per bit.
 
     Bit i is 1 iff some peak lies within ``window`` seconds of the nominal
     peak location ``delay + i*T_sym + t_on/2``.
     """
-    if timing.mode is not TimingMode.FRAMED_SYMBOL:
-        raise UnsupportedModeError("decode is only defined for framed-symbol timing")
     if not (math.isfinite(delay) and delay >= 0):
         raise ValidationError("delay must be finite and non-negative")
     if n_bits < 0:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -72,7 +72,3 @@ class PeakSet:
 
     def times(self) -> list[float]:
         return [p.time for p in self.peaks]
-
-    @classmethod
-    def from_times(cls, times: Sequence[float], amplitude: float = 1.0) -> "PeakSet":
-        return cls(tuple(Peak(float(t), amplitude) for t in times))

@@ -11,8 +11,9 @@ from __future__ import annotations
 import csv
 import math
 import os
+from contextlib import contextmanager
 from itertools import chain, islice
-from typing import Iterable, Mapping, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -30,13 +31,23 @@ PEAKS_HEADER = ["time_s", "amplitude"]
 COMPARISON_HEADER = ["branch", "precision", "recall", "f1", "ber", "bsr"]
 
 
+@contextmanager
+def open_text(path: str | os.PathLike, newline: str | None = None) -> Iterator[TextIO]:
+    """Open a UTF-8 text file for reading; bytes that are not UTF-8 raise FormatError."""
+    try:
+        with open(path, "r", encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 def _read_table(path: str | os.PathLike, header: list[str]) -> np.ndarray:
     """Read a numeric CSV with the given header row into a (rows, columns) array.
 
     Every cell must hold a finite number; an error names the file, the row
     (the header is row 1) and, for a bad cell, the column.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    with open_text(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise FormatError(f"{path}: file is empty, expected header {','.join(header)}")
@@ -149,7 +160,7 @@ def write_comparison(reports: Mapping[str, MetricsReport], path: str | os.PathLi
 
 def read_bits(path: str | os.PathLike) -> Bits:
     """Read a bit string: one line of 0/1 characters, no separators."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open_text(path) as fh:
         text = fh.read().strip()
     try:
         return parse_bits(text, str(path))

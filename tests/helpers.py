@@ -3,11 +3,25 @@
 These deliberately share no code with the library: plateau scanning,
 suppression, and matching are re-derived from their definitions so the
 library implementations are checked against a second, exhaustive path.
+``peaks_at`` is the one exception: it builds library peak sets as test input.
 """
 
 from itertools import groupby
 
 import numpy as np
+
+from bubblelink.signals import Peak, PeakSet
+
+
+def peaks_at(times, amplitude=1.0):
+    """A PeakSet with one peak of ``amplitude`` at each of the ascending ``times``."""
+    return PeakSet(tuple(Peak(float(t), amplitude) for t in times))
+
+
+def kalman_variance_fixed_point(q, r):
+    """Steady-state posterior variance p* with p* = (p*+q) r / (p*+q+r)."""
+    # positive root of p^2 + q p - q r = 0
+    return (-q + np.sqrt(q * q + 4.0 * q * r)) / 2.0
 
 
 def brute_maf(x, window):

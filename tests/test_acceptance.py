@@ -8,7 +8,13 @@ import time
 import numpy as np
 import pytest
 
-from helpers import brute_maf, oracle_detect, oracle_max_matching
+from helpers import (
+    brute_maf,
+    kalman_variance_fixed_point,
+    oracle_detect,
+    oracle_max_matching,
+    peaks_at,
+)
 from bubblelink.channel import mean_flow_velocity
 from bubblelink.config import load_config
 from bubblelink.dsp import (
@@ -17,7 +23,6 @@ from bubblelink.dsp import (
     PeakDetectParams,
     detect_peaks,
     kalman_filter,
-    kalman_variance_fixed_point,
     moving_average,
     peak_candidates,
 )
@@ -34,7 +39,7 @@ from bubblelink.modem import (
     uniform_avg_bit_duration,
 )
 from bubblelink.pipeline import run_pipeline
-from bubblelink.signals import PeakSet, SensorTrace
+from bubblelink.signals import SensorTrace
 
 
 def report(criterion, description, failed=False):
@@ -175,7 +180,7 @@ def test_peak_and_matching_oracles():
         events = tuple(InjectionEvent(t - 0.1, 0.2, 1.0) for t in truths)
         schedule = InjectionSchedule(events, truths[-1] + 0.1)
         dets = sorted(set(float(d) for d in rng.uniform(0, truths[-1] + 2, int(rng.integers(0, 10)))))
-        m = match_peaks(PeakSet.from_times(dets), schedule, tolerance)
+        m = match_peaks(peaks_at(dets), schedule, tolerance)
         assert m.tp == oracle_max_matching(truths, dets, tolerance)
 
 

@@ -10,8 +10,9 @@ from bubblelink.channel import (
     simulate,
     trace_span,
 )
+from bubblelink.config import load_config
 from bubblelink.errors import ResourceLimitError, ValidationError
-from bubblelink.modem import InjectionEvent, InjectionSchedule
+from bubblelink.modem import InjectionEvent, InjectionSchedule, encode
 
 
 def make_params(**overrides):
@@ -179,6 +180,20 @@ class TestSimulate:
         params = make_params(max_samples=100)
         with pytest.raises(ResourceLimitError):
             simulate(single_event_schedule(start=100.0), params)
+
+    @pytest.mark.parametrize("length", [0, 10, 57])
+    def test_config_cap_refuses_only_what_simulate_refuses(self, length):
+        def load(cap):
+            overrides = {"bits.length": str(length), "channel.max_samples": str(cap)}
+            return load_config(preset="paper-like", overrides=overrides)
+
+        cfg = load(10**6)
+        schedule = encode(cfg.bits, cfg.timing, cfg.dose)
+        load(len(simulate(schedule, cfg.channel)))  # simulate's own sample count passes
+        # one sample short of the schedule's span is refused before any bits are drawn
+        span_samples = math.ceil(schedule.total_span / cfg.channel.sample_interval - 1e-9)
+        with pytest.raises(ResourceLimitError, match="channel.max_samples cap"):
+            load(span_samples - 1)
 
     def test_param_validation(self):
         with pytest.raises(ValidationError):

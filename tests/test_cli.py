@@ -25,8 +25,8 @@ def read_comparison(path):
 
 NOISELESS = ["--set", "channel.noise_std=0", "--set", "channel.spike_rate=0"]
 
-# SHA-256 of every file of the paper-like output tree, as recorded by bench/digests.py
-PAPER_LIKE_DIGESTS = Path(__file__).parent / "data" / "paper_like.sha256"
+# SHA-256 of every file of the benchmark's output trees, one "digest  tree/file" line each
+BENCH_DIGESTS = Path(__file__).parents[1] / "bench" / "digests.txt"
 
 
 class TestSubcommands:
@@ -169,9 +169,11 @@ class TestPipeline:
     def test_paper_like_tree_digests(self, tmp_path):
         out = self.run(tmp_path, "run")
         expected = {}
-        for line in PAPER_LIKE_DIGESTS.read_text().splitlines():
-            digest, name = line.split("  paper-like/")
-            expected[name] = digest
+        for line in BENCH_DIGESTS.read_text().splitlines():
+            digest, _, path = line.partition("  ")
+            tree, _, name = path.partition("/")
+            if tree == "paper-like" and name:  # "paper-like/" alone digests the whole tree
+                expected[name] = digest
         assert sorted(os.listdir(out)) == sorted(expected)
         for name, digest in expected.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
@@ -242,10 +244,16 @@ class TestExitCodes:
         ("filter --in {trace} --method kalman --q nan --r 1", "q must be finite"),
         ("filter --in {trace} --method kalman --q 1 --r inf", "r must be finite"),
         ("filter --in {trace} --method kalman --q 1 --r 1 --x0 inf", "x0 must be finite"),
+        ("decode --peaks {peaks} --t-on 0.3 --t-off inf --delay 0 --n-bits 3",
+         "t_off must be finite"),
+        ("encode --bits 0 --t-on 0.3 --t-off inf", "t_off must be finite"),
+        ("decode --peaks {peaks} --t-on 1e308 --t-off 1e308 --delay 0 --n-bits 3",
+         "symbol_duration must be finite"),
     ], ids=["encode-t_off-below-t_on", "encode-dose-inf", "filter-window-0",
             "filter-q-without-r", "filter-r-without-q", "detect-min-distance-0",
             "detect-threshold-nan", "decode-delay-nan", "decode-delay-inf",
-            "filter-kalman-q-nan", "filter-kalman-r-inf", "filter-kalman-x0-inf"])
+            "filter-kalman-q-nan", "filter-kalman-r-inf", "filter-kalman-x0-inf",
+            "decode-t_off-inf", "encode-t_off-inf", "decode-symbol-duration-overflow"])
     def test_invalid_argument_is_validation_error(self, tmp_path, capsys, argv, message):
         trace_f = tmp_path / "t.csv"
         write_trace(SensorTrace(0.04, 0.0, np.abs(np.sin(np.arange(100) / 5))), trace_f)
@@ -264,12 +272,35 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("setting", [
         "peak.threshold.raw=abc", "channel.echo_cutoff=inf", "dose=nan", "peak.treshold=9",
+        "timing.mode=framed",
     ])
     def test_bad_config_setting_names_key(self, tmp_path, capsys, setting):
         out = tmp_path / "out"
         rc = main(["pipeline", "--preset", "paper-like", "--set", setting, "--out-dir", str(out)])
         assert rc == 2
         assert repr(setting.partition("=")[0]) in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "detect --in {bad} --out {out}",
+        "encode --bits-file {bad} --t-on 0.3 --t-off 2.0 --out {out}",
+        "pipeline --config {bad} --out-dir {out}",
+    ], ids=["detect", "encode", "pipeline"])
+    def test_non_utf8_input_is_validation_error(self, tmp_path, capsys, argv):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\xff101\n")
+        out = tmp_path / "out"
+        rc = main([a.format(bad=bad, out=out) for a in argv.split()])
+        assert rc == 2
+        assert f"{bad}: not UTF-8 text" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_over_cap_payload_is_refused_before_the_run(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["pipeline", "--preset", "paper-like", "--set", "bits.length=1000",
+                   "--set", "channel.max_samples=1000", "--out-dir", str(out)])
+        assert rc == 1
+        assert "channel.max_samples cap of 1000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_input_file_is_validation_error(self, tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import brute_maf, oracle_detect
+from helpers import brute_maf, kalman_variance_fixed_point, oracle_detect
 from bubblelink.dsp import (
     KalmanParams,
     MafParams,
@@ -11,7 +11,6 @@ from bubblelink.dsp import (
     default_threshold,
     detect_peaks,
     kalman_filter,
-    kalman_variance_fixed_point,
     moving_average,
     peak_candidates,
 )

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import oracle_max_matching
+from helpers import oracle_max_matching, peaks_at
 from bubblelink.errors import UndefinedMetricError, ValidationError
 from bubblelink.metrics import MatchResult, ber, bsr, build_report, f1_score, match_peaks
 from bubblelink.modem import InjectionEvent, InjectionSchedule
@@ -16,13 +16,13 @@ def schedule_from_midtimes(midtimes, duration=0.2, dose=1.0):
 class TestMatchPeaks:
     def test_perfect_detection(self):
         truth = schedule_from_midtimes([1.0, 5.0, 9.0])
-        detected = PeakSet.from_times([1.0, 5.0, 9.0])
+        detected = peaks_at([1.0, 5.0, 9.0])
         m = match_peaks(detected, truth, 0.5)
         assert (m.tp, m.fp, m.fn) == (3, 0, 0)
 
     def test_spurious_detection_outside_windows(self):
         truth = schedule_from_midtimes([1.0, 5.0])
-        detected = PeakSet.from_times([1.1, 3.0, 5.05])
+        detected = peaks_at([1.1, 3.0, 5.05])
         m = match_peaks(detected, truth, 0.5)
         assert (m.tp, m.fp, m.fn) == (2, 1, 0)
 
@@ -33,7 +33,7 @@ class TestMatchPeaks:
 
     def test_tie_prefers_earlier_detection(self):
         truth = schedule_from_midtimes([5.0])
-        detected = PeakSet.from_times([4.8, 5.2])
+        detected = peaks_at([4.8, 5.2])
         m = match_peaks(detected, truth, 0.5)
         assert m.pairs == ((5.0, 4.8),)
 
@@ -41,15 +41,15 @@ class TestMatchPeaks:
         # truth 0.1 + 0.2 + 0.3/2 and tolerance 0.1 + 0.2: the detection at
         # 0.15 is within tolerance, yet below the float truth - tolerance
         below = InjectionSchedule((InjectionEvent(0.1 + 0.2, 0.3, 1.0),), 2.3)
-        assert match_peaks(PeakSet.from_times([0.15]), below, 0.1 + 0.2).tp == 1
+        assert match_peaks(peaks_at([0.15]), below, 0.1 + 0.2).tp == 1
         # truth 0.7 + 0.2/2 = 0.7999999999999999 and tolerance 1.0: the
         # detection at 1.8 lies above the float truth + tolerance
         above = InjectionSchedule((InjectionEvent(0.7, 0.2, 1.0),), 2.3)
-        assert match_peaks(PeakSet.from_times([1.8]), above, 1.0).tp == 1
+        assert match_peaks(peaks_at([1.8]), above, 1.0).tp == 1
 
     def test_pairs_within_tolerance(self):
         truth = schedule_from_midtimes([1.0, 4.0, 8.0])
-        detected = PeakSet.from_times([0.7, 4.4, 9.5])
+        detected = peaks_at([0.7, 4.4, 9.5])
         m = match_peaks(detected, truth, 0.5)
         for tt, dt in m.pairs:
             assert abs(tt - dt) <= 0.5
@@ -64,7 +64,7 @@ class TestMatchPeaks:
                     truths.append(float(t))
             dets = sorted(set(float(t) for t in rng.uniform(0, 100, int(rng.integers(0, 12)))))
             truth = schedule_from_midtimes(truths) if truths else InjectionSchedule((), 0.0)
-            m = match_peaks(PeakSet.from_times(dets), truth, 1.0)
+            m = match_peaks(peaks_at(dets), truth, 1.0)
             assert m.tp + m.fn == len(truths)
             assert m.tp + m.fp == len(dets)
             assert m.tp == len(m.pairs)
@@ -78,15 +78,15 @@ class TestMatchPeaks:
             gaps = rng.uniform(2 * tolerance, 4 * tolerance, n_truth)
             truths = list(np.cumsum(gaps) + 1.0)
             dets = sorted(set(float(d) for d in rng.uniform(0, truths[-1] + 2, int(rng.integers(0, 10)))))
-            m = match_peaks(PeakSet.from_times(dets), schedule_from_midtimes(truths), tolerance)
+            m = match_peaks(peaks_at(dets), schedule_from_midtimes(truths), tolerance)
             assert m.tp == oracle_max_matching(truths, dets, tolerance)
 
     def test_monotonicity(self):
         truth = schedule_from_midtimes([1.0, 5.0])
-        base = match_peaks(PeakSet.from_times([1.0, 5.0]), truth, 0.5)
-        more = match_peaks(PeakSet.from_times([1.0, 3.0, 5.0]), truth, 0.5)
+        base = match_peaks(peaks_at([1.0, 5.0]), truth, 0.5)
+        more = match_peaks(peaks_at([1.0, 3.0, 5.0]), truth, 0.5)
         assert more.fp >= base.fp
-        fewer = match_peaks(PeakSet.from_times([1.0]), truth, 0.5)
+        fewer = match_peaks(peaks_at([1.0]), truth, 0.5)
         assert fewer.fn >= base.fn
 
     def test_rejects_bad_tolerance(self):

@@ -12,6 +12,7 @@ from helpers import (
     brute_greedy_match,
     full_axis_signal,
     oracle_candidates,
+    peaks_at,
     per_row_csv,
     per_row_trace_csv,
 )
@@ -65,7 +66,7 @@ def test_match_peaks_matches_brute_greedy(data, step, tolerance):
     detections = data.draw(grid_times(step, 25))
     truth = InjectionSchedule(tuple(InjectionEvent(s, step / 2, 1.0) for s in starts), 10.0)
     truth_times = [e.start + e.duration / 2 for e in truth.events]
-    m = match_peaks(PeakSet.from_times(detections), truth, tolerance)
+    m = match_peaks(peaks_at(detections), truth, tolerance)
     pairs = brute_greedy_match(truth_times, detections, tolerance)
     assert m.pairs == tuple(pairs)
     assert (m.tp, m.fp, m.fn) == (len(pairs), len(detections) - len(pairs), len(starts) - len(pairs))
@@ -84,7 +85,7 @@ def test_decode_matches_brute_any(data, step, on_off, window_fraction, n_bits):
     window = window_fraction * timing.symbol_duration / 2
     delay = data.draw(st.integers(0, 20)) * step
     times = data.draw(grid_times(step, 30))
-    got = decode(PeakSet.from_times(times), timing, delay, n_bits, window)
+    got = decode(peaks_at(times), timing, delay, n_bits, window)
     assert got == brute_decode(times, delay, timing.t_on, timing.symbol_duration, n_bits, window)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bubblelink.config import load_config
 from bubblelink.errors import FormatError
 from bubblelink.modem import InjectionEvent, InjectionSchedule
 from bubblelink.signals import Peak, PeakSet, SensorTrace
@@ -130,6 +131,16 @@ def test_bad_row_is_named(tmp_path, read, text, cell, error):
     p = tmp_path / "f.csv"
     p.write_text(text.format(cell))
     with pytest.raises(FormatError, match=f"f.csv: {error}$"):
+        read(p)
+
+
+@pytest.mark.parametrize("read", [
+    read_trace, read_schedule, read_peaks, read_bits, lambda path: load_config(path=path),
+], ids=["trace", "schedule", "peaks", "bits", "config"])
+def test_non_utf8_file_is_format_error(tmp_path, read):
+    p = tmp_path / "f.csv"
+    p.write_bytes(b"\xfftime_s,amplitude\n")
+    with pytest.raises(FormatError, match="f.csv: not UTF-8 text"):
         read(p)
 
 
