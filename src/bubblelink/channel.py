@@ -34,11 +34,11 @@ class ChannelParams:
     initial_spread: float  # s, bolus std at injection
     pass_decay: float  # amplitude retention per loop pass
     echo_cutoff: float  # relative amplitude below which passes are dropped
-    noise_std: float  # amplitude units
-    spike_rate: float  # spurious transients per second
-    spike_amplitude_max: float  # amplitude units
     sample_interval: float  # s
-    rng_seed: int
+    noise_std: float = 0.0  # amplitude units
+    spike_rate: float = 0.0  # spurious transients per second
+    spike_amplitude_max: float = 0.0  # amplitude units
+    rng_seed: int = 0
     max_samples: int = 1_000_000
 
     def __post_init__(self):
@@ -58,6 +58,8 @@ class ChannelParams:
             raise ValidationError("spike_amplitude_max must be positive when spikes are on")
         if not (self.initial_spread > 0 and self.dispersion_coeff >= 0):
             raise ValidationError("initial_spread must be > 0, dispersion_coeff >= 0")
+        if self.rng_seed < 0:
+            raise ValidationError("rng_seed must be non-negative")
 
 
 def mean_flow_velocity(flow_rate: float, tube_diameter: float) -> float:
@@ -143,6 +145,15 @@ def trace_span(schedule: InjectionSchedule, params: ChannelParams) -> float:
     return span
 
 
+def sample_count(span: float, params: ChannelParams) -> int:
+    """Samples covering ``span``, at least one; capped before rounding, so inf is refused."""
+    bins = span / params.sample_interval - 1e-9
+    if max(1.0, bins) > params.max_samples:
+        raise ResourceLimitError(f"a trace of {span:g} s at {params.sample_interval:g} s per sample "
+                                 f"would exceed the channel.max_samples cap of {params.max_samples}")
+    return max(1, math.ceil(bins))
+
+
 def simulate(schedule: InjectionSchedule, params: ChannelParams) -> SensorTrace:
     """Turn an injection schedule into a noisy, seeded sensor trace.
 
@@ -150,12 +161,7 @@ def simulate(schedule: InjectionSchedule, params: ChannelParams) -> SensorTrace:
     bit-identical trace.
     """
     dt = params.sample_interval
-    span = trace_span(schedule, params)
-    n = max(1, math.ceil(span / dt - 1e-9))
-    if n > params.max_samples:
-        raise ResourceLimitError(
-            f"trace would need {n} samples, exceeding the cap of {params.max_samples}"
-        )
+    n = sample_count(trace_span(schedule, params), params)
     times = (np.arange(n) + 0.5) * dt
     x = clean_signal(schedule, params, times)
 

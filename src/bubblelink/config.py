@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields, replace
 from importlib import resources
 
 import numpy as np
 
-from .channel import ChannelParams
+from .channel import ChannelParams, sample_count
 from .dsp import KalmanParams, MafParams, default_maf_window, default_min_distance
-from .errors import ResourceLimitError, ValidationError
+from .errors import ValidationError
 from .modem import Bits, TimingParams, parse_bits
 from .trace_io import open_text
 
@@ -36,13 +36,14 @@ PRESETS = {"paper-like": "paper_like.cfg"}
 
 BRANCHES = ("raw", "maf", "kalman")
 
+# each section's keys are its params dataclass's fields: "<section>.<field>"
+SECTIONS = {"timing": TimingParams, "channel": ChannelParams, "maf": MafParams,
+            "kalman": KalmanParams}
+
 KNOWN_KEYS = frozenset(
-    [f"timing.{f.name}" for f in fields(TimingParams)]
-    + [f"channel.{f.name}" for f in fields(ChannelParams)]
-    + [f"maf.{f.name}" for f in fields(MafParams)]
-    + [f"kalman.{f.name}" for f in fields(KalmanParams)]
+    [f"{name}.{f.name}" for name, cls in SECTIONS.items() for f in fields(cls)]
     + [f"peak.threshold.{b}" for b in BRANCHES]
-    + ["peak.threshold", "peak.min_distance", "tolerance", "decode.window", "dose", "preamble",
+    + ["peak.min_distance", "tolerance", "decode.window", "dose", "preamble",
        "bits.value", "bits.length", "bits.seed"]
 )
 
@@ -86,14 +87,14 @@ def preset_text(name: str) -> str:
     return resources.files("bubblelink.presets").joinpath(PRESETS[name]).read_text("utf-8")
 
 
-_REQUIRED = object()
 _KIND_NAMES = {float: "a number", int: "an integer"}
+_KINDS = {kind.__name__: kind for kind in _KIND_NAMES}  # a field's annotation text -> its kind
 
 
-def _get(values: dict[str, str], key: str, kind: type, default=_REQUIRED):
+def _get(values: dict[str, str], key: str, kind: type, default=MISSING):
     """Parse ``values[key]`` as ``kind`` (float or int); ``default`` if absent."""
     if key not in values:
-        if default is _REQUIRED:
+        if default is MISSING:
             raise ValidationError(f"config: missing required key {key!r}")
         return default
     try:
@@ -102,7 +103,7 @@ def _get(values: dict[str, str], key: str, kind: type, default=_REQUIRED):
         raise ValidationError(
             f"config key {key!r}: cannot parse {values[key]!r} as {_KIND_NAMES[kind]}"
         ) from None
-    if not math.isfinite(value):
+    if not math.isfinite(float(values[key])):  # float, so a huge integer is inf too
         raise ValidationError(f"config key {key!r}: {values[key]!r} is not finite")
     return value
 
@@ -113,6 +114,8 @@ def _resolve_payload(values: dict[str, str]) -> Bits:
         seed = _get(values, "bits.seed", int, 0)
         if length < 0:
             raise ValidationError("bits.length must be non-negative")
+        if seed < 0:
+            raise ValidationError("bits.seed must be non-negative")
         rng = np.random.Generator(np.random.PCG64(seed))
         return [int(b) for b in rng.random(length) < 0.5]
     if "bits.value" in values:
@@ -120,69 +123,47 @@ def _resolve_payload(values: dict[str, str]) -> Bits:
     raise ValidationError("config: provide bits.value or bits.length")
 
 
-def build_channel(values: dict[str, str]) -> ChannelParams:
-    seed = _get(values, "channel.rng_seed", int, 0)
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        try:
-            seed = int(env_seed)
-        except ValueError:
-            raise ValidationError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from None
+def _section(values: dict[str, str], name: str, **defaults):
+    """Build ``SECTIONS[name]``; an absent key takes ``defaults`` or else the field's default."""
+    cls = SECTIONS[name]
+    return cls(**{f.name: _get(values, f"{name}.{f.name}", _KINDS[f.type],
+                               defaults.get(f.name, f.default)) for f in fields(cls)})
 
-    return ChannelParams(
-        flow_rate=_get(values, "channel.flow_rate", float),
-        tube_diameter=_get(values, "channel.tube_diameter", float),
-        distance_to_sensor=_get(values, "channel.distance_to_sensor", float),
-        loop_length=_get(values, "channel.loop_length", float),
-        dispersion_coeff=_get(values, "channel.dispersion_coeff", float),
-        initial_spread=_get(values, "channel.initial_spread", float),
-        pass_decay=_get(values, "channel.pass_decay", float),
-        echo_cutoff=_get(values, "channel.echo_cutoff", float),
-        noise_std=_get(values, "channel.noise_std", float, 0.0),
-        spike_rate=_get(values, "channel.spike_rate", float, 0.0),
-        spike_amplitude_max=_get(values, "channel.spike_amplitude_max", float, 0.0),
-        sample_interval=_get(values, "channel.sample_interval", float),
-        rng_seed=seed,
-        max_samples=_get(values, "channel.max_samples", int, 1_000_000),
-    )
+
+def build_channel(values: dict[str, str]) -> ChannelParams:
+    channel = _section(values, "channel")
+    env_seed = os.environ.get(SEED_ENV_VAR)
+    if env_seed is None:
+        return channel
+    try:
+        seed = int(env_seed)
+    except ValueError:
+        raise ValidationError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from None
+    return replace(channel, rng_seed=seed)  # replace re-runs ChannelParams' checks
 
 
 def build_config(values: dict[str, str]) -> ExperimentConfig:
-    timing = TimingParams(
-        t_on=_get(values, "timing.t_on", float), t_off=_get(values, "timing.t_off", float)
-    )
+    timing = _section(values, "timing")
     channel = build_channel(values)
+    preamble = _get(values, "preamble", int, 1)
+    if preamble < 1:
+        raise ValidationError("preamble must be at least 1 (decode delay estimation needs it)")
+    # encode's span, which simulate's never undercuts: refuse an over-cap run before drawing bits;
+    # summed as a float, since two integers within float range can add up past it
+    n_bits = float(preamble) + _get(values, "bits.length", int, len(values.get("bits.value", "")))
+    sample_count(n_bits * timing.symbol_duration, channel)
 
     dt = channel.sample_interval
-    maf = MafParams(window=_get(values, "maf.window", int, default_maf_window(dt, timing.t_on)))
-
+    maf = _section(values, "maf", window=default_maf_window(dt, timing.t_on))
     kalman = None
     if "kalman.q" in values or "kalman.r" in values:
-        kalman = KalmanParams(
-            q=_get(values, "kalman.q", float),
-            r=_get(values, "kalman.r", float),
-            x0=_get(values, "kalman.x0", float, 0.0),
-            p0=_get(values, "kalman.p0", float, _get(values, "kalman.r", float)),
-        )
-
-    base = _get(values, "peak.threshold", float, None)
-    thresholds = {b: _get(values, f"peak.threshold.{b}", float, base) for b in BRANCHES}
+        kalman = _section(values, "kalman", x0=0.0, p0=_get(values, "kalman.r", float))
+    thresholds = {b: _get(values, f"peak.threshold.{b}", float, None) for b in BRANCHES}
 
     tolerance = _get(values, "tolerance", float, 1.0)
     if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
-    decode_window = _get(
-        values, "decode.window", float, min(tolerance, timing.symbol_duration / 2)
-    )
-    preamble = _get(values, "preamble", int, 1)
-    if preamble < 1:
-        raise ValidationError("preamble must be at least 1 (decode delay estimation needs it)")
-    # encode's span, which simulate's never undercuts: refuse an over-cap run before drawing bits
-    n_bits = preamble + _get(values, "bits.length", int, len(values.get("bits.value", "")))
-    n_samples = math.ceil(n_bits * timing.symbol_duration / dt - 1e-9)
-    if n_samples > channel.max_samples:
-        raise ResourceLimitError(f"{n_bits} bits need at least {n_samples} samples, over the "
-                                 f"channel.max_samples cap of {channel.max_samples}")
+    decode_window = _get(values, "decode.window", float, min(tolerance, timing.symbol_duration / 2))
 
     return ExperimentConfig(
         timing=timing,

@@ -204,3 +204,5 @@ class TestSimulate:
             make_params(distance_to_sensor=3.0)  # beyond loop_length
         with pytest.raises(ValidationError):
             make_params(noise_std=-0.1)
+        with pytest.raises(ValidationError, match="rng_seed must be non-negative"):
+            make_params(rng_seed=-1)

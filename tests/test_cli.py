@@ -27,6 +27,9 @@ NOISELESS = ["--set", "channel.noise_std=0", "--set", "channel.spike_rate=0"]
 
 # SHA-256 of every file of the benchmark's output trees, one "digest  tree/file" line each
 BENCH_DIGESTS = Path(__file__).parents[1] / "bench" / "digests.txt"
+# the preset overrides behind each tree of that file (``TREES`` in bench/digests.py)
+DIGEST_TREES = {"paper-like": [], "long-record": ["--set", "bits.length=2000", "--set", "bits.seed=0"]}
+HUGE_INT = "9" * 400  # beyond float range
 
 
 class TestSubcommands:
@@ -166,13 +169,14 @@ class TestPipeline:
         for key in ("tp", "fp", "fn", "precision", "recall", "f1", "ber", "bsr"):
             assert manual[key] == branch[key], key
 
-    def test_paper_like_tree_digests(self, tmp_path):
-        out = self.run(tmp_path, "run")
+    @pytest.mark.parametrize("tree", DIGEST_TREES)
+    def test_paper_like_tree_digests(self, tmp_path, tree):
+        out = self.run(tmp_path, tree, DIGEST_TREES[tree])
         expected = {}
         for line in BENCH_DIGESTS.read_text().splitlines():
             digest, _, path = line.partition("  ")
-            tree, _, name = path.partition("/")
-            if tree == "paper-like" and name:  # "paper-like/" alone digests the whole tree
+            line_tree, _, name = path.partition("/")
+            if line_tree == tree and name:  # "<tree>/" alone digests the whole tree
                 expected[name] = digest
         assert sorted(os.listdir(out)) == sorted(expected)
         for name, digest in expected.items():
@@ -272,7 +276,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("setting", [
         "peak.threshold.raw=abc", "channel.echo_cutoff=inf", "dose=nan", "peak.treshold=9",
-        "timing.mode=framed",
+        "timing.mode=framed", "peak.threshold=0.5", "maf.window=1.5", "channel.max_samples=2.5",
+        pytest.param(f"bits.length={HUGE_INT}", id="bits.length=huge"),
+        pytest.param(f"channel.max_samples={HUGE_INT}", id="channel.max_samples=huge"),
     ])
     def test_bad_config_setting_names_key(self, tmp_path, capsys, setting):
         out = tmp_path / "out"
@@ -301,6 +307,45 @@ class TestExitCodes:
                    "--set", "channel.max_samples=1000", "--out-dir", str(out)])
         assert rc == 1
         assert "channel.max_samples cap of 1000" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, env_seed, message", [
+        ("pipeline --preset paper-like --set channel.rng_seed=-1 --out-dir {out}", None,
+         "rng_seed must be non-negative"),
+        ("pipeline --preset paper-like --set bits.length=5 --set bits.seed=-3 --out-dir {out}", None,
+         "bits.seed must be non-negative"),
+        ("pipeline --preset paper-like --out-dir {out}", "-2", "rng_seed must be non-negative"),
+        ("simulate --schedule {schedule} --preset paper-like --set channel.rng_seed=-1 --out {out}",
+         None, "rng_seed must be non-negative"),
+    ], ids=["pipeline-rng_seed", "pipeline-bits.seed", "pipeline-env-seed", "simulate-rng_seed"])
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys, monkeypatch, argv,
+                                               env_seed, message):
+        schedule = tmp_path / "s.csv"
+        main(["encode", "--bits", "101", "--t-on", "0.3", "--t-off", "2.0", "--out", str(schedule)])
+        if env_seed is not None:
+            monkeypatch.setenv("BUBBLELINK_SEED", env_seed)
+        out = tmp_path / "out"
+        rc = main([a.format(schedule=schedule, out=out) for a in argv.split()])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        "pipeline --preset paper-like --set bits.length=1{zeros} --out-dir {out}",
+        "pipeline --preset paper-like --set channel.sample_interval=1e-320 --out-dir {out}",
+        "pipeline --preset paper-like --set preamble=1{zeros} --set bits.length=1{zeros}"
+        " --out-dir {out}",
+        "simulate --schedule {schedule} --preset paper-like --set channel.sample_interval=1e-320"
+        " --out {out}",
+    ], ids=["pipeline-bits.length", "pipeline-sample_interval", "pipeline-bit-count-sum",
+            "simulate-sample_interval"])
+    def test_infinite_span_is_refused_at_the_cap(self, tmp_path, capsys, argv):
+        schedule = tmp_path / "s.csv"
+        main(["encode", "--bits", "101", "--t-on", "0.3", "--t-off", "2.0", "--out", str(schedule)])
+        out = tmp_path / "out"
+        rc = main([a.format(schedule=schedule, out=out, zeros="0" * 308) for a in argv.split()])
+        assert rc == 1
+        assert "channel.max_samples cap of 1000000" in capsys.readouterr().err
         assert not out.exists()
 
     def test_bad_input_file_is_validation_error(self, tmp_path):
