@@ -26,7 +26,7 @@ import numpy as np
 
 from .channel import ChannelParams, sample_count
 from .dsp import KalmanParams, MafParams, default_maf_window, default_min_distance
-from .errors import ValidationError
+from .errors import ResourceLimitError, ValidationError
 from .modem import Bits, TimingParams, parse_bits
 from .trace_io import open_text
 
@@ -117,7 +117,10 @@ def _resolve_payload(values: dict[str, str]) -> Bits:
         if seed < 0:
             raise ValidationError("bits.seed must be non-negative")
         rng = np.random.Generator(np.random.PCG64(seed))
-        return [int(b) for b in rng.random(length) < 0.5]
+        try:
+            return [int(b) for b in rng.random(length) < 0.5]
+        except MemoryError:
+            raise ResourceLimitError(f"bits.length={length} does not fit in memory") from None
     if "bits.value" in values:
         return parse_bits(values["bits.value"], "bits.value")
     raise ValidationError("config: provide bits.value or bits.length")

@@ -11,6 +11,8 @@ import numpy as np
 from .errors import ValidationError
 from .signals import Peak, PeakSet, SensorTrace
 
+KALMAN_BLOCK = 1024  # samples per tolist(); a whole-trace list raised peak memory
+
 
 @dataclass(frozen=True)
 class MafParams:
@@ -96,17 +98,40 @@ def moving_average(trace: SensorTrace, params: MafParams) -> SensorTrace:
     return trace.with_samples(y)
 
 
-def kalman_filter(trace: SensorTrace, params: KalmanParams) -> SensorTrace:
-    """Scalar random-walk Kalman smoother applied sample by sample."""
-    x = params.x0
+def _kalman_gains(params: KalmanParams, n: int) -> np.ndarray:
+    """The first m <= n gains of the filter; if m < n, every later gain equals the last.
+
+    The gain does not depend on the samples. It is computed until the variance
+    p reaches a float fixed point, after which p, and so the gain, stays the same.
+    """
+    gains = np.empty(n)
     p = params.p0
-    out = np.empty(len(trace), dtype=float)
-    for i, z in enumerate(trace.samples):
+    for i in range(n):
         p_pred = p + params.q
         k = p_pred / (p_pred + params.r)
-        x = x + k * (z - x)
-        p = (1.0 - k) * p_pred
-        out[i] = x
+        gains[i] = k
+        p, p_prev = (1.0 - k) * p_pred, p
+        if p == p_prev:
+            return gains[: i + 1]
+    return gains
+
+
+def kalman_filter(trace: SensorTrace, params: KalmanParams) -> SensorTrace:
+    """Scalar random-walk Kalman smoother applied sample by sample.
+
+    Samples are converted to Python floats ``KALMAN_BLOCK`` at a time. Each
+    takes its own gain until the gain settles, then the settled one.
+    """
+    gains = _kalman_gains(params, len(trace))
+    x = params.x0
+    out = np.empty(len(trace), dtype=float)
+    for a in range(0, len(trace), KALMAN_BLOCK):
+        zs = trace.samples[a : a + KALMAN_BLOCK].tolist()
+        ks = gains[a : a + KALMAN_BLOCK].tolist()
+        ys = [x := x + k * (z - x) for z, k in zip(zs, ks)]
+        settled = gains[-1].item()
+        ys += [x := x + settled * (z - x) for z in zs[len(ks) :]]
+        out[a : a + len(ys)] = ys
     return trace.with_samples(out)
 
 

@@ -95,8 +95,10 @@ def _write_tree(
     os.makedirs(out_dir, exist_ok=True)
     trace_io.write_bits(bits, os.path.join(out_dir, "bits_sent.txt"))
     trace_io.write_schedule(schedule, os.path.join(out_dir, "schedule.csv"))
+    trace_io.write_traces(
+        {os.path.join(out_dir, f"{name}_trace.csv"): res.trace for name, res in results.items()}
+    )
     for name, res in results.items():
-        trace_io.write_trace(res.trace, os.path.join(out_dir, f"{name}_trace.csv"))
         trace_io.write_peaks(res.peaks, os.path.join(out_dir, f"{name}_peaks.csv"))
         trace_io.write_bits(res.decoded, os.path.join(out_dir, f"{name}_bits.txt"))
         m = res.match

@@ -1,15 +1,20 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 These deliberately share no code with the library: plateau scanning,
-suppression, and matching are re-derived from their definitions so the
-library implementations are checked against a second, exhaustive path.
-``peaks_at`` is the one exception: it builds library peak sets as test input.
+suppression, matching, the Kalman recursion and CSV reading are re-derived
+from their definitions so the library implementations are checked against
+a second, exhaustive path. ``peaks_at`` is the one exception: it builds
+library peak sets as test input.
 """
 
+import csv
+import io
+import math
 from itertools import groupby
 
 import numpy as np
 
+from bubblelink.errors import FormatError
 from bubblelink.signals import Peak, PeakSet
 
 
@@ -22,6 +27,20 @@ def kalman_variance_fixed_point(q, r):
     """Steady-state posterior variance p* with p* = (p*+q) r / (p*+q+r)."""
     # positive root of p^2 + q p - q r = 0
     return (-q + np.sqrt(q * q + 4.0 * q * r)) / 2.0
+
+
+def brute_kalman(x, q, r, x0, p0):
+    """Scalar random-walk Kalman filter with the gain recomputed from the
+    variance at every sample."""
+    out = np.empty(len(x))
+    p = p0
+    for i, z in enumerate(x):
+        p_pred = p + q
+        k = p_pred / (p_pred + r)
+        x0 = x0 + k * (z - x0)
+        p = (1.0 - k) * p_pred
+        out[i] = x0
+    return out
 
 
 def brute_maf(x, window):
@@ -149,3 +168,30 @@ def per_row_trace_csv(samples, sample_interval, t0):
     amplitude with 9 significant digits, one row at a time."""
     rows = ((t0 + k * sample_interval, float(x)) for k, x in enumerate(samples))
     return per_row_csv(["time_s", "amplitude"], "{:.6f},{:.9g}", rows)
+
+
+def csv_reader_table(text, header, path):
+    """The (rows, columns) array that ``csv.reader`` rows of ``text`` hold,
+    checked one row and cell at a time; a bad row raises FormatError, with
+    ``path`` named in the message as the library names its file."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))
+    if not rows:
+        raise FormatError(f"{path}: file is empty, expected header {','.join(header)}")
+    found = [c.strip() for c in rows[0]]
+    if found != header:
+        raise FormatError(f"{path}: bad header {','.join(found)!r}, expected {','.join(header)!r}")
+    table = []
+    for i, row in enumerate(rows[1:], start=2):
+        if len(row) != len(header):
+            raise FormatError(f"{path}: row {i}: expected {len(header)} columns, got {len(row)}")
+        for column, value in zip(header, row):
+            try:
+                number = float(value)
+            except ValueError:
+                raise FormatError(
+                    f"{path}: row {i}, column {column!r}: cannot parse {value!r} as a number"
+                ) from None
+            if not math.isfinite(number):
+                raise FormatError(f"{path}: row {i}, column {column!r}: {value!r} is not finite")
+            table.append(number)
+    return np.array(table, dtype=float).reshape(len(rows) - 1, len(header))

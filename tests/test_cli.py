@@ -309,6 +309,14 @@ class TestExitCodes:
         assert "channel.max_samples cap of 1000" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_payload_too_large_for_memory_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["pipeline", "--preset", "paper-like", "--set", "bits.length=1000000000000000",
+                   "--set", "channel.max_samples=1000000000000000000000", "--out-dir", str(out)])
+        assert rc == 1
+        assert "bits.length=1000000000000000 does not fit in memory" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, env_seed, message", [
         ("pipeline --preset paper-like --set channel.rng_seed=-1 --out-dir {out}", None,
          "rng_seed must be non-negative"),

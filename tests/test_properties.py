@@ -1,15 +1,20 @@
-"""Property tests: the windowed and bisect-based receive chain against
-brute-force references in ``helpers`` that check every sample or peak, and
-the block-formatted CSV writer against per-row ``str.format`` text."""
+"""Property tests: the windowed and bisect-based receive chain and the
+settled-gain Kalman filter against brute-force references in ``helpers``
+that check every sample or peak, the block-formatted CSV writer against
+per-row ``str.format`` text, and the plain-table CSV reader against a
+row-by-row ``csv.reader`` reference."""
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     brute_decode,
     brute_greedy_detect,
     brute_greedy_match,
+    brute_kalman,
+    csv_reader_table,
     full_axis_signal,
     oracle_candidates,
     peaks_at,
@@ -17,16 +22,28 @@ from helpers import (
     per_row_trace_csv,
 )
 from bubblelink.channel import ChannelParams, clean_signal, echo_passes
-from bubblelink.dsp import PeakDetectParams, detect_peaks, peak_candidates
+from bubblelink.dsp import (
+    KALMAN_BLOCK,
+    KalmanParams,
+    PeakDetectParams,
+    detect_peaks,
+    kalman_filter,
+    peak_candidates,
+)
+from bubblelink.errors import FormatError, ValidationError
 from bubblelink.metrics import MetricsReport, match_peaks
 from bubblelink.modem import InjectionEvent, InjectionSchedule, TimingParams, decode
 from bubblelink.signals import Peak, PeakSet, SensorTrace
 from bubblelink.trace_io import (
     BLOCK_ROWS,
+    SCHEDULE_HEADER,
+    TRACE_HEADER,
+    _read_table,
     write_comparison,
     write_peaks,
     write_schedule,
     write_trace,
+    write_traces,
 )
 
 PROPERTY = settings(deadline=None, max_examples=100)
@@ -144,9 +161,15 @@ amplitudes = st.one_of(
 )
 
 
+# empty, one row, either side of one block boundary, and past two
+block_lengths = st.sampled_from(
+    [0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]
+)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
-    st.sampled_from([0, 1, BLOCK_ROWS - 1, BLOCK_ROWS, BLOCK_ROWS + 1, 2 * BLOCK_ROWS + 3]),
+    block_lengths,
     st.lists(amplitudes, min_size=1, max_size=16),
     st.floats(1e-6, 10.0),
     st.floats(-1e4, 1e4),
@@ -156,6 +179,29 @@ def test_write_trace_matches_per_row_format(tmp_path_factory, n, values, dt, t0)
     path = tmp_path_factory.getbasetemp() / "blocked_trace.csv"
     write_trace(SensorTrace(dt, t0, samples), path)
     assert path.read_bytes() == per_row_trace_csv(samples, dt, t0).encode()
+
+
+@settings(deadline=None, max_examples=30)
+@given(block_lengths, st.integers(0, 2**32 - 1), st.floats(1e-6, 10.0), st.floats(-1e4, 1e4))
+def test_write_traces_match_per_row_format(tmp_path_factory, n, seed, dt, t0):
+    rng = np.random.default_rng(seed)
+    traces = [SensorTrace(dt, t0, rng.normal(size=n) * 10.0**k) for k in (-3, 0, 5)]
+    paths = [tmp_path_factory.getbasetemp() / f"shared_time_{k}.csv" for k in range(3)]
+    write_traces(dict(zip(paths, traces)))
+    for path, trace in zip(paths, traces):
+        assert path.read_bytes() == per_row_trace_csv(trace.samples, dt, t0).encode()
+
+
+@pytest.mark.parametrize("other", [
+    SensorTrace(0.04, 0.5, np.zeros(5)),
+    SensorTrace(0.05, 0.0, np.zeros(5)),
+    SensorTrace(0.04, 0.0, np.zeros(6)),
+], ids=["t0", "sample_interval", "length"])
+def test_write_traces_refuses_mismatched_time_bases(tmp_path, other):
+    paths = [tmp_path / "a.csv", tmp_path / "b.csv"]
+    with pytest.raises(ValidationError, match="must share t0, sample_interval and length"):
+        write_traces({paths[0]: SensorTrace(0.04, 0.0, np.ones(5)), paths[1]: other})
+    assert not any(p.exists() for p in paths)
 
 
 def test_small_tables_match_per_row_format(tmp_path):
@@ -178,3 +224,81 @@ def test_small_tables_match_per_row_format(tmp_path):
     header = ["branch", "precision", "recall", "f1", "ber", "bsr"]
     expected = per_row_csv(header, "{}" + ",{:.9g}" * 5, rows)
     assert (tmp_path / "c.csv").read_bytes() == expected.encode()
+
+
+# the preset's tuning, a 2-cycle of p, and a p that takes ~10^5 steps to settle
+PRESET_KALMAN = (1e-4, 1e-2, 1e-2)
+CYCLING_KALMAN = (5.7484883908062975e-05, 3.208862899884772e-05, 3.208862899884772e-05)
+SLOW_KALMAN = (1e-11, 2e3, 2e3)
+
+
+@PROPERTY
+@given(
+    st.tuples(st.floats(0, 1e300), st.floats(0, 1e300, exclude_min=True), st.floats(0, 1e300)),
+    st.floats(-1e6, 1e6),
+    st.one_of(st.integers(0, 80), block_lengths),
+    st.integers(0, 2**32 - 1),
+)
+@example(PRESET_KALMAN, 0.0, 200, 0)  # settles after 54 steps
+@example(PRESET_KALMAN, 0.3, 20, 1)  # ends before it settles
+@example(CYCLING_KALMAN, 0.0, 300, 2)
+@example(SLOW_KALMAN, 1.0, 2 * KALMAN_BLOCK + 3, 3)
+def test_kalman_filter_matches_brute(qrp, x0, n, seed):
+    q, r, p0 = qrp
+    x = np.random.default_rng(seed).normal(size=n) * 10.0 ** (seed % 7 - 3)
+    got = kalman_filter(SensorTrace(0.04, 0.0, x), KalmanParams(q, r, x0, p0)).samples
+    assert np.array_equal(got, brute_kalman(x, q, r, x0, p0))
+
+
+plain_cells = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(-1e4, 1e4).map("{:.6f}".format),
+    st.integers(-(10**6), 10**6).map(str),
+)
+# csv quoting, padding and values that float refuses, accepts only as text, or reads as non-finite
+odd_cells = st.sampled_from([
+    '"1.5"', '"1,5"', '" 2"', '"', " 2.5 ", "\t3", "nan", "inf", "-Infinity", "1e999", "abc", "",
+    "1.2.3", "0x10", "1_000", "+.5", "\xa07", "\x1c3", "\u0661", "\u20281",
+])
+line_ends = st.sampled_from(["\n", "\r\n", "\r"])
+rarely = st.sampled_from([False, False, False, True])
+
+
+@st.composite
+def csv_texts(draw):
+    """A table text, plain unless it draws odd cells (csv quoting, padding,
+    non-numbers), CR line ends, blank lines or wrong column counts, a padded
+    or quoted header, or a missing final newline."""
+    header = draw(st.sampled_from([TRACE_HEADER, SCHEDULE_HEADER]))
+    head = ",".join(header)
+    if draw(rarely):
+        quoted = f'"{header[0]}",' + ",".join(header[1:])
+        head = draw(st.sampled_from([quoted, f" {head} ", "t,a", ""]))
+    cells = st.one_of(plain_cells, odd_cells) if draw(rarely) else plain_cells
+    widths = st.just(len(header))
+    if draw(rarely):
+        widths = st.one_of(widths, st.sampled_from([len(header) - 1, len(header) + 1, 0]))
+    row = widths.flatmap(lambda w: st.lists(cells, min_size=w, max_size=w))
+    rows = draw(st.lists(row, max_size=12))
+    ends = line_ends if draw(rarely) else st.just("\n")
+    text = head + "".join(draw(ends) + ",".join(row) for row in rows)
+    return header, text if draw(rarely) else text + draw(ends)
+
+
+@settings(deadline=None, max_examples=400)
+@given(csv_texts())
+@example((TRACE_HEADER, "time_s,amplitude\n0,1\n\r0.04,2\n"))  # a lone CR makes a blank row
+@example((TRACE_HEADER, "time_s,amplitude\r\n0,1\r\n0.04,2\r\n"))
+@example((SCHEDULE_HEADER, 'start_s,duration_s,dose\n0,"0,3",1\n'))
+def test_read_table_matches_csv_reader(tmp_path_factory, header_text):
+    header, text = header_text
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    path.write_bytes(text.encode())
+    try:
+        expected = csv_reader_table(text, header, path)
+    except FormatError as exc:
+        with pytest.raises(FormatError) as got:
+            _read_table(path, header)
+        assert str(got.value) == str(exc)
+    else:
+        assert np.array_equal(_read_table(path, header), expected)
