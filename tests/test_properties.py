@@ -154,11 +154,29 @@ def test_clean_signal_keeps_terms_just_inside_radius():
     assert np.all(x[1:-1] > 0)  # at 38.5 sigma the term is a subnormal, not 0.0
 
 
-# signs, both zeros, subnormals and magnitudes up to 1e300, next to arbitrary floats
+# Values at the edges of the trace writer's numpy kernel, which formats a
+# value only where its rounding is certain and leaves the rest to Python:
+TIE = 123456789.5  # an exact tie at the 9th significant digit
+KERNEL_EDGES = [
+    TIE, np.nextafter(TIE, 0.0), np.nextafter(TIE, np.inf), 0.5, 2.5e-7,
+    # rounding carries across a power of ten
+    9.9999999995, 0.99999999995, 99999.99995, 0.00099999999995,
+    # either side of the switches between fixed and exponent notation
+    9.99999999e-5, 9.999999999e-5, 1e-4, 999999999.4, 999999999.6, 999999999.5,
+    # both zeros, subnormals and the far ends of the range
+    0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+]
+
+# the edges, floats where %.9g prints fixed notation, and any float
 amplitudes = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300]),
+    st.sampled_from(KERNEL_EDGES),
+    st.floats(1e-4, 1e9).flatmap(lambda x: st.sampled_from([x, -x])),
     st.floats(-1e300, 1e300),
 )
+
+# start times: ordinary, past the kernel's range (1.4e8 s) and with texts
+# wider than its time cells
+start_times = st.one_of(st.floats(-1e4, 1e4), st.floats(-1e30, 1e30))
 
 
 # empty, one row, either side of one block boundary, and past two
@@ -172,8 +190,12 @@ block_lengths = st.sampled_from(
     block_lengths,
     st.lists(amplitudes, min_size=1, max_size=16),
     st.floats(1e-6, 10.0),
-    st.floats(-1e4, 1e4),
+    start_times,
 )
+@example(n=len(KERNEL_EDGES), values=KERNEL_EDGES, dt=0.04, t0=0.0)
+@example(n=BLOCK_ROWS + 1, values=KERNEL_EDGES, dt=1e-7, t0=-3e-7)  # times that print -0.000000
+@example(n=7, values=[1.0], dt=5e-7, t0=-1.5e-6)  # every other time a 6-decimal tie
+@example(n=3, values=[1.0], dt=1e20, t0=-1e25)  # times wider than their cells
 def test_write_trace_matches_per_row_format(tmp_path_factory, n, values, dt, t0):
     samples = np.resize(np.array(values), n)  # repeats the drawn values to n samples
     path = tmp_path_factory.getbasetemp() / "blocked_trace.csv"
@@ -182,7 +204,7 @@ def test_write_trace_matches_per_row_format(tmp_path_factory, n, values, dt, t0)
 
 
 @settings(deadline=None, max_examples=30)
-@given(block_lengths, st.integers(0, 2**32 - 1), st.floats(1e-6, 10.0), st.floats(-1e4, 1e4))
+@given(block_lengths, st.integers(0, 2**32 - 1), st.floats(1e-6, 10.0), start_times)
 def test_write_traces_match_per_row_format(tmp_path_factory, n, seed, dt, t0):
     rng = np.random.default_rng(seed)
     traces = [SensorTrace(dt, t0, rng.normal(size=n) * 10.0**k) for k in (-3, 0, 5)]
@@ -190,6 +212,20 @@ def test_write_traces_match_per_row_format(tmp_path_factory, n, seed, dt, t0):
     write_traces(dict(zip(paths, traces)))
     for path, trace in zip(paths, traces):
         assert path.read_bytes() == per_row_trace_csv(trace.samples, dt, t0).encode()
+
+
+def test_write_traces_splice_fallback_rows_inside_a_block(tmp_path):
+    n = 2 * BLOCK_ROWS + 3
+    plain = np.linspace(0.1, 0.9, n)
+    edged = plain.copy()
+    edged[[BLOCK_ROWS // 2, BLOCK_ROWS + 7, n - 2]] = [1e300, TIE, -5e-324]
+    # a tie every other row in the time column; the spliced trace comes first,
+    # so the traces after it show that no spliced text is left behind
+    traces = [SensorTrace(5e-7, 0.0, x) for x in (edged, plain, -plain)]
+    paths = [tmp_path / f"{k}.csv" for k in range(3)]
+    write_traces(dict(zip(paths, traces)))
+    for path, trace in zip(paths, traces):
+        assert path.read_bytes() == per_row_trace_csv(trace.samples, 5e-7, 0.0).encode()
 
 
 @pytest.mark.parametrize("other", [

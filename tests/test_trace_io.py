@@ -6,6 +6,10 @@ from bubblelink.errors import FormatError
 from bubblelink.modem import InjectionEvent, InjectionSchedule
 from bubblelink.signals import Peak, PeakSet, SensorTrace
 from bubblelink.trace_io import (
+    _LEAD,
+    _PLAIN,
+    _TRAIL,
+    _digit_words,
     read_bits,
     read_peaks,
     read_schedule,
@@ -71,6 +75,15 @@ class TestTraceFiles:
         p = tmp_path / "t.csv"
         write_trace(SensorTrace(0.04, 0.0, np.array([])), p)
         assert p.read_text() == "time_s,amplitude\n"
+
+
+def test_digit_word_tables_match_their_definitions():
+    tables = _digit_words()
+    numbers = range(10_000)
+    assert tables[_PLAIN].tobytes() == b"".join(b"%04d" % i for i in numbers)
+    assert tables[_LEAD].tobytes() == b"".join(str(i).encode().rjust(4, b"\0") for i in numbers)
+    trailing_nul = (("%04d" % i).rstrip("0").ljust(4, "\0") for i in numbers)
+    assert tables[_TRAIL].tobytes() == "".join(trailing_nul).encode()
 
 
 class TestScheduleFiles:
