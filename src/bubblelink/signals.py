@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -23,13 +24,15 @@ class SensorTrace:
     samples: np.ndarray
 
     def __post_init__(self):
-        if not self.sample_interval > 0:
-            raise ValidationError("sample_interval must be positive")
+        if not 0 < self.sample_interval < math.inf:
+            raise ValidationError("sample_interval must be positive and finite")
         samples = np.asarray(self.samples, dtype=float)
         if samples.ndim != 1:
             raise ValidationError("samples must be one-dimensional")
         if not np.all(np.isfinite(samples)):
             raise ValidationError("all samples must be finite")
+        if not math.isfinite(float(self.t0) + len(samples) * float(self.sample_interval)):
+            raise ValidationError("t0 and the end of the last bin must be finite")
         samples.setflags(write=False)
         object.__setattr__(self, "samples", samples)
 

@@ -13,9 +13,9 @@ import functools
 import math
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, contextmanager, suppress
 from itertools import chain
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -61,91 +61,76 @@ def open_text(path: str | os.PathLike, newline: str | None = None) -> Iterator[T
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-_NOT_COMMA_OR_LF = bytes(b for b in range(256) if b not in b",\n")
+# The bytes a table body may hold to be read by np.loadtxt: no letter to
+# spell inf or nan, and no whitespace but the space and tab, which it and
+# float both strip around a number.
+_NUMERIC = b'0123456789+-.eE,"\r\n \t'
 
 
-def _parse_plain(data: bytes, header: list[str]) -> np.ndarray | None:
-    """Parse the bytes of a plain table, or return None where only csv.reader can tell.
-
-    A plain table's first line is exactly ``header``, every line holds
-    ``len(header) - 1`` commas, and its lines end in LF or CRLF, with no other
-    CR (csv.reader also ends a row at a lone CR). Its cells are split a window
-    of whole lines at a time and parsed in one ``np.fromiter``. A cell that
-    ``float`` refuses as bytes (quoted, non-ASCII) or that is not finite
-    returns None, and so does a line longer than ``csv.field_size_limit()``,
-    the window's size.
-    """
-    head = (",".join(header) + "\n").encode()
-    line = b"," * (len(header) - 1) + b"\n"
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    skeleton = data.translate(None, _NOT_COMMA_OR_LF)
-    lines = len(skeleton) // len(line)
-    if not data.startswith(head) or b"\r" in data or skeleton != line * lines:
-        return None
-    window = csv.field_size_limit()
-
-    def windows() -> Iterator[list[bytes]]:
-        start = len(head)
-        while start < len(data):
-            end = data.rfind(b"\n", start, start + window) + 1
-            if end <= start:
-                raise ValueError("line longer than the csv field size limit")
-            yield data[start : end - 1].replace(b"\n", b",").split(b",")
-            start = end
-
-    try:
-        cells = map(float, chain.from_iterable(windows()))
-        table = np.fromiter(cells, float, (lines - 1) * len(header))
-    except ValueError:
-        return None
-    return table.reshape(lines - 1, len(header)) if np.isfinite(table).all() else None
+def _numeric_lines(fh: BinaryIO) -> int:
+    """The number of lines left in ``fh``, or 0 if they are all blank or hold a
+    byte not in ``_NUMERIC``. The file is read in chunks, never held whole."""
+    lines, blank, end = 0, True, b"\n"
+    for chunk in iter(functools.partial(fh.read, 1 << 16), b""):
+        if chunk.translate(None, _NUMERIC):
+            return 0
+        lines += chunk.count(b"\n")
+        blank = blank and not chunk.lstrip(b"\r\n")
+        end = chunk[-1:]
+    return 0 if blank else lines + (end != b"\n")
 
 
 def _read_table(path: str | os.PathLike, header: list[str]) -> np.ndarray:
     """Read a numeric CSV with the given header row into a (rows, columns) array.
 
     Every cell must hold a finite number; an error names the file, the row
-    (the header is row 1) and, for a bad cell, the column. A plain table is
-    parsed from its bytes; any other text is read again with csv.reader and
-    checked one row and cell at a time.
+    (the header is row 1) and, for a bad cell, the column. np.loadtxt reads a
+    file whose first line is the header and whose body ``_numeric_lines``
+    counts; its table is kept if it has a row per body line (np.loadtxt skips
+    blank lines and joins quoted line ends), ``len(header)`` columns and only
+    finite numbers. Any other file is read and checked row by row with
+    csv.reader.
     """
+    head = ",".join(header).encode()
     with open(path, "rb") as fh:
-        table = _parse_plain(fh.read(), header)
-    if table is not None:
-        return table
+        if fh.readline() in (head + b"\n", head + b"\r\n"):
+            start = fh.tell()
+            if lines := _numeric_lines(fh):
+                fh.seek(start)
+                with suppress(ValueError):
+                    table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
+                                       ndmin=2, encoding="utf-8")
+                    if table.shape == (lines, len(header)) and np.isfinite(table).all():
+                        return table
     with open_text(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise FormatError(f"{path}: file is empty, expected header {','.join(header)}")
-    found = [c.strip() for c in rows[0]]
-    if found != header:
-        raise FormatError(f"{path}: bad header {','.join(found)!r}, expected {','.join(header)!r}")
-    body = rows[1:]
-    if set(map(len, body)) <= {len(header)}:
-        cells = map(float, chain.from_iterable(body))
+        rows, cells, i = csv.reader(fh), [], 0  # i: the rows read so far
         try:
-            table = np.fromiter(cells, float, len(body) * len(header))
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(table).all():
-                return table.reshape(len(body), len(header))
-    # The whole-table parse failed: find the first bad row, in file order.
-    for i, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise FormatError(f"{path}: row {i}: expected {len(header)} columns, got {len(row)}")
-        for column, value in zip(header, row):
-            try:
-                number = float(value)
-            except ValueError:
-                raise FormatError(
-                    f"{path}: row {i}, column {column!r}: cannot parse {value!r} as a number"
-                ) from None
-            if not math.isfinite(number):
-                raise FormatError(f"{path}: row {i}, column {column!r}: {value!r} is not finite")
+            first = next(rows, None)
+            i = 1
+            if first is None:
+                raise FormatError(f"{path}: file is empty, expected header {','.join(header)}")
+            if (found := [c.strip() for c in first]) != header:
+                expected = ",".join(header)
+                raise FormatError(f"{path}: bad header {','.join(found)!r}, expected {expected!r}")
+            for i, row in enumerate(rows, start=2):
+                if len(row) != len(header):
+                    raise FormatError(
+                        f"{path}: row {i}: expected {len(header)} columns, got {len(row)}"
+                    )
+                for column, value in zip(header, row):
+                    try:
+                        number = float(value)
+                    except ValueError:
+                        raise FormatError(f"{path}: row {i}, column {column!r}: "
+                                          f"cannot parse {value!r} as a number") from None
+                    if not math.isfinite(number):
+                        raise FormatError(
+                            f"{path}: row {i}, column {column!r}: {value!r} is not finite"
+                        )
+                    cells.append(number)
+        except csv.Error as exc:  # such as a cell longer than csv.field_size_limit()
+            raise FormatError(f"{path}: row {i + 1}: {exc}") from None
+    return np.array(cells).reshape(-1, len(header))
 
 
 def _write_table(
@@ -170,18 +155,23 @@ def read_trace(path: str | os.PathLike) -> SensorTrace:
     if len(table) < 2:
         raise FormatError(f"{path}: at least two rows are needed to infer the sample interval")
     times = table[:, 0]
-    dt = float(times[1] - times[0])
-    if not dt > 0:
+    t0, t1 = times[:2].tolist()
+    if not t1 > t0:
         raise FormatError(f"{path}: row 3: times must be strictly ascending")
-    steps = np.diff(times)
-    bad = np.flatnonzero(np.abs(steps - dt) > SPACING_TOLERANCE)
+    try:
+        trace = SensorTrace(sample_interval=t1 - t0, t0=t0, samples=table[:, 1].copy())
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    with np.errstate(over="ignore"):  # a step that overflows is as non-uniform as any
+        steps = np.diff(times)
+        bad = np.flatnonzero(np.abs(steps - trace.sample_interval) > SPACING_TOLERANCE)
     if bad.size:
         k = bad[0]
         raise FormatError(
             f"{path}: row {k + 3}: non-uniform sample spacing "
-            f"({steps[k]:.6g} s vs expected {dt:.6g} s)"
+            f"({steps[k]:.6g} s vs expected {trace.sample_interval:.6g} s)"
         )
-    return SensorTrace(sample_interval=dt, t0=float(times[0]), samples=table[:, 1].copy())
+    return trace
 
 
 def _word(text: bytes) -> int:

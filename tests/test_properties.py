@@ -1,7 +1,7 @@
 """Property tests: the windowed and bisect-based receive chain and the
 settled-gain Kalman filter against brute-force references in ``helpers``
 that check every sample or peak, the block-formatted CSV writer against
-per-row ``str.format`` text, and the plain-table CSV reader against a
+per-row ``str.format`` text, and the CSV table reader against a
 row-by-row ``csv.reader`` reference."""
 
 import numpy as np
@@ -326,6 +326,16 @@ def csv_texts(draw):
 @example((TRACE_HEADER, "time_s,amplitude\n0,1\n\r0.04,2\n"))  # a lone CR makes a blank row
 @example((TRACE_HEADER, "time_s,amplitude\r\n0,1\r\n0.04,2\r\n"))
 @example((SCHEDULE_HEADER, 'start_s,duration_s,dose\n0,"0,3",1\n'))
+# each difference between np.loadtxt and csv.reader + float that _read_table guards against
+@example((TRACE_HEADER, "time_s,amplitude\n0,1\n\n0.04,2\n"))  # a blank line, which np.loadtxt skips
+@example((TRACE_HEADER, "time_s,amplitude\n\n\n"))  # a blank body, on which np.loadtxt warns
+@example((TRACE_HEADER, "time_s,amplitude\n0,\x1c1\n"))  # np.loadtxt strips \x1c, float refuses it
+@example((TRACE_HEADER, "time_s,amplitude\n0,1,2\n"))  # np.loadtxt reads a wider table
+@example((TRACE_HEADER, "time_s,amplitude\n0,inf\n"))  # np.loadtxt accepts inf and nan
+@example((TRACE_HEADER, 'time_s,amplitude\n"0\n",1\n'))  # a quoted line end: one row, two lines
+@example((TRACE_HEADER, 'time_s,amplitude\n0, 1\n 0.04 ,\t2\n'))  # padding both strip
+@example((TRACE_HEADER, 'time_s,amplitude\n0, "1"\n'))  # a quote after a space is a literal
+@example((TRACE_HEADER, "time_s,amplitude\n0,1\n \n"))  # a line of padding
 def test_read_table_matches_csv_reader(tmp_path_factory, header_text):
     header, text = header_text
     path = tmp_path_factory.getbasetemp() / "table.csv"

@@ -1,8 +1,10 @@
+import csv
+
 import numpy as np
 import pytest
 
 from bubblelink.config import load_config
-from bubblelink.errors import FormatError
+from bubblelink.errors import FormatError, ValidationError
 from bubblelink.modem import InjectionEvent, InjectionSchedule
 from bubblelink.signals import Peak, PeakSet, SensorTrace
 from bubblelink.trace_io import (
@@ -76,6 +78,53 @@ class TestTraceFiles:
         write_trace(SensorTrace(0.04, 0.0, np.array([])), p)
         assert p.read_text() == "time_s,amplitude\n"
 
+    @pytest.mark.parametrize("interval, t0", [
+        (float("inf"), 0.0), (float("nan"), 0.0), (0.04, float("inf")), (0.04, float("nan")),
+        (0.04, float("-inf")), (1e307, 1.79e308),
+    ])
+    def test_non_finite_time_base_rejected(self, interval, t0):
+        with pytest.raises(ValidationError, match="finite"):
+            SensorTrace(interval, t0, np.ones(3))
+
+    def test_overflowing_sample_interval_is_format_error(self, tmp_path):
+        # both times are finite, their difference is not; no overflow warning escapes
+        p = tmp_path / "t.csv"
+        p.write_text("time_s,amplitude\n-1e308,1\n1e308,2\n")
+        with pytest.raises(FormatError, match="t.csv: sample_interval must be positive and finite$"):
+            read_trace(p)
+
+    def test_time_base_ending_past_the_largest_float_is_format_error(self, tmp_path):
+        # the last bin's centre would be inf: detect would write an `inf` peak time
+        p = tmp_path / "t.csv"
+        p.write_text("time_s,amplitude\n1.7e308,1\n1.79e308,2\n")
+        with pytest.raises(FormatError, match="t.csv: t0 and the end of the last bin must be finite$"):
+            read_trace(p)
+
+    def test_overflowing_step_is_non_uniform(self, tmp_path):
+        # the last step, -1e308 - 1e308, overflows; no warning escapes and row 4 is named first
+        p = tmp_path / "t.csv"
+        p.write_text("time_s,amplitude\n0,1\n1,2\n1e308,3\n-1e308,4\n")
+        with pytest.raises(FormatError, match=r"row 4: non-uniform sample spacing \(1e\+308 s"):
+            read_trace(p)
+
+    def test_quoted_trace_reads_as_its_plain_twin(self, tmp_path):
+        rng = np.random.Generator(np.random.PCG64(7))
+        plain, quoted = tmp_path / "plain.csv", tmp_path / "quoted.csv"
+        write_trace(SensorTrace(0.04, 1.5, rng.normal(size=300)), plain)
+        lines = plain.read_text().splitlines()
+        quoted.write_text("\n".join([lines[0]] + [
+            ",".join(f'"{cell}"' for cell in line.split(",")) for line in lines[1:]
+        ]) + "\n")
+        a, b = read_trace(plain), read_trace(quoted)
+        assert (a.sample_interval, a.t0) == (b.sample_interval, b.t0)
+        assert np.array_equal(a.samples, b.samples)
+
+    def test_plain_quoted_and_padded_traces_skip_csv_reader(self, tmp_path, monkeypatch):
+        p = tmp_path / "t.csv"
+        p.write_text('time_s,amplitude\r\n0,1\r\n"0.04","-2.5e-3"\r\n0.08, +.5\t')
+        monkeypatch.setattr(csv, "reader", None)
+        assert read_trace(p).samples.tolist() == [1.0, -2.5e-3, 0.5]
+
 
 def test_digit_word_tables_match_their_definitions():
     tables = _digit_words()
@@ -144,6 +193,18 @@ def test_bad_row_is_named(tmp_path, read, text, cell, error):
     p = tmp_path / "f.csv"
     p.write_text(text.format(cell))
     with pytest.raises(FormatError, match=f"f.csv: {error}$"):
+        read(p)
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_trace, "time_s,amplitude\n0.00,0.0\n0.04,{}\n"),
+    (read_schedule, "start_s,duration_s,dose\n0.0,0.3,1.0\n2.3,0.3,{}\n"),
+    (read_peaks, "time_s,amplitude\n0.15,1.0\n2.45,{}\n"),
+], ids=["trace", "schedule", "peaks"])
+def test_cell_longer_than_csv_field_limit_is_format_error(tmp_path, read, text):
+    p = tmp_path / "f.csv"
+    p.write_text(text.format("x" * 140_000))
+    with pytest.raises(FormatError, match=r"f.csv: row 3: field larger than field limit"):
         read(p)
 
 
