@@ -13,12 +13,19 @@ from . import config as cfgmod
 from . import dsp, metrics, plot, trace_io
 from .channel import simulate
 from .errors import ResourceLimitError, ValidationError
-from .modem import TimingParams, decode, encode, parse_bits
+from .modem import decode, encode, parse_bits
 from .pipeline import run_pipeline
 
 
-def _timing_from_args(args) -> TimingParams:
-    return TimingParams(t_on=args.t_on, t_off=args.t_off)
+# Staged flags that set a config key, per command; a given flag beats --set and the preset.
+ALIASES = {
+    "encode": {"--t-on": "timing.t_on", "--t-off": "timing.t_off", "--dose": "dose"},
+    "filter": {"--window": "maf.window", "--q": "kalman.q", "--r": "kalman.r",
+               "--x0": "kalman.x0", "--p0": "kalman.p0"},
+    "detect": {"--min-distance": "peak.min_distance"},
+    "decode": {"--t-on": "timing.t_on", "--t-off": "timing.t_off", "--window": "decode.window"},
+    "evaluate": {"--tolerance": "tolerance"},
+}
 
 
 def _collect_values(args) -> dict[str, str]:
@@ -28,77 +35,74 @@ def _collect_values(args) -> dict[str, str]:
             raise ValidationError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
+    for key in ALIASES.get(args.command, {}).values():
+        if vars(args)[key] is not None:
+            overrides[key] = vars(args)[key]
     return overrides
 
 
+def _values(args) -> dict[str, str]:
+    return cfgmod.merge_values(args.config, args.preset, _collect_values(args))
+
+
 def cmd_encode(args) -> int:
+    values = _values(args)
     if args.bits_file is not None:
         bits = trace_io.read_bits(args.bits_file)
     elif args.bits is not None:
         bits = parse_bits(args.bits, "--bits")
     else:
         raise ValidationError("encode requires --bits or --bits-file")
-    schedule = encode(bits, _timing_from_args(args), args.dose)
+    schedule = encode(bits, cfgmod.section(values, "timing"), cfgmod.resolve_dose(values))
     trace_io.write_schedule(schedule, args.out)
     return 0
 
 
 def cmd_simulate(args) -> int:
-    values = cfgmod.merge_values(args.config, args.preset, _collect_values(args))
-    params = cfgmod.build_channel(values)
+    params = cfgmod.build_channel(_values(args))
     schedule = trace_io.read_schedule(args.schedule)
     trace_io.write_trace(simulate(schedule, params), args.out)
     return 0
 
 
 def cmd_filter(args) -> int:
+    values = _values(args)
     trace = trace_io.read_trace(args.infile)
     if args.method == "maf":
-        window = args.window
-        if window is None:
-            window = dsp.default_maf_window(trace.sample_interval)
-        out = dsp.moving_average(trace, dsp.MafParams(window))
+        out = dsp.moving_average(trace, cfgmod.resolve_maf(values, trace.sample_interval))
     else:
-        if (args.q is None) != (args.r is None):
-            given, missing = ("--q", "--r") if args.r is None else ("--r", "--q")
-            raise ValidationError(f"{given} needs {missing} too; give neither to auto-tune")
-        if args.q is not None:
-            x0 = args.x0 if args.x0 is not None else float(trace.samples[0])
-            p0 = args.p0 if args.p0 is not None else args.r
-            params = dsp.KalmanParams(q=args.q, r=args.r, x0=x0, p0=p0)
-        else:
-            params = dsp.default_kalman_params(trace)
+        params = cfgmod.resolve_kalman(values) or dsp.default_kalman_params(trace)
         out = dsp.kalman_filter(trace, params)
     trace_io.write_trace(out, args.out)
     return 0
 
 
 def cmd_detect(args) -> int:
+    values = _values(args)
     trace = trace_io.read_trace(args.infile)
     threshold = args.threshold if args.threshold is not None else dsp.default_threshold(trace)
-    min_distance = args.min_distance
-    if min_distance is None:
-        min_distance = dsp.default_min_distance(trace.sample_interval)
+    min_distance = cfgmod.resolve_min_distance(values, trace.sample_interval)
     peaks = dsp.detect_peaks(trace, dsp.PeakDetectParams(threshold, min_distance))
     trace_io.write_peaks(peaks, args.out)
     return 0
 
 
 def cmd_decode(args) -> int:
+    values = _values(args)
     peaks = trace_io.read_peaks(args.peaks)
-    timing = _timing_from_args(args)
-    window = args.window if args.window is not None else timing.symbol_duration / 2
-    bits = decode(peaks, timing, args.delay, args.n_bits, window)
+    timing = cfgmod.section(values, "timing")
+    bits = decode(peaks, timing, args.delay, args.n_bits, cfgmod.resolve_decode_window(values))
     trace_io.write_bits(bits, args.out)
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    tolerance = cfgmod.resolve_tolerance(_values(args))
     peaks = trace_io.read_peaks(args.peaks)
     truth = trace_io.read_schedule(args.truth)
     if args.truth_shift:
         truth = truth.shifted(args.truth_shift)
-    match = metrics.match_peaks(peaks, truth, args.tolerance)
+    match = metrics.match_peaks(peaks, truth, tolerance)
     peaks_total = args.peaks_total if args.peaks_total is not None else len(truth)
     report = metrics.build_report(match, peaks_total)
     if args.out:
@@ -128,17 +132,6 @@ def cmd_plot(args) -> int:
     return 0
 
 
-def _add_timing_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--t-on", type=float, required=True, help="injection duration in seconds")
-    p.add_argument("--t-off", type=float, required=True, help="idle duration in seconds")
-
-
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="path to a key=value config file")
-    p.add_argument("--preset", choices=sorted(cfgmod.PRESETS), help="built-in config preset")
-    p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bubblelink",
@@ -149,48 +142,36 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="bits -> injection schedule CSV")
     p.add_argument("--bits", help="bit string, e.g. 10110")
     p.add_argument("--bits-file", help="file holding the bit string")
-    _add_timing_flags(p)
-    p.add_argument("--dose", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("simulate", help="schedule CSV -> sensor trace CSV")
     p.add_argument("--schedule", required=True)
-    _add_config_flags(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("filter", help="smooth a trace with MAF or Kalman")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--method", choices=["maf", "kalman"], required=True)
-    p.add_argument("--window", type=int, help="MAF window in samples")
-    p.add_argument("--q", type=float, help="Kalman process-noise variance")
-    p.add_argument("--r", type=float, help="Kalman measurement-noise variance")
-    p.add_argument("--x0", type=float, help="Kalman initial state")
-    p.add_argument("--p0", type=float, help="Kalman initial variance")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_filter)
 
     p = sub.add_parser("detect", help="trace CSV -> peaks CSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--threshold", type=float, help="default: half the 95th percentile")
-    p.add_argument("--min-distance", type=int, help="default: ~1 s in samples")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 
     p = sub.add_parser("decode", help="peaks CSV -> bits")
     p.add_argument("--peaks", required=True)
-    _add_timing_flags(p)
     p.add_argument("--delay", type=float, required=True, help="channel delay in seconds")
     p.add_argument("--n-bits", type=int, required=True)
-    p.add_argument("--window", type=float, help="acceptance half-width, default T_sym/2")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_decode)
 
     p = sub.add_parser("evaluate", help="score detected peaks against a truth schedule")
     p.add_argument("--peaks", required=True)
     p.add_argument("--truth", required=True)
-    p.add_argument("--tolerance", type=float, default=1.0)
     p.add_argument("--truth-shift", type=float, default=0.0,
                    help="shift truth times by this many seconds (e.g. channel transit time)")
     p.add_argument("--peaks-total", type=int, help="BER denominator, default: number of truth events")
@@ -198,9 +179,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("pipeline", help="full encode->simulate->filter->detect->evaluate run")
-    _add_config_flags(p)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_pipeline)
+
+    for name, p in sub.choices.items():  # every command so far; plot, added below, takes no settings
+        p.add_argument("--config", help="path to a key=value config file")
+        p.add_argument("--preset", choices=sorted(cfgmod.PRESETS), help="built-in config preset")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
+        for flag, key in ALIASES.get(name, {}).items():
+            p.add_argument(flag, dest=key, metavar="VALUE", help=f"sets {key}")
 
     p = sub.add_parser("plot", help="render a trace (plus peaks/truth) to SVG")
     p.add_argument("--trace", required=True)

@@ -25,7 +25,7 @@ from importlib import resources
 import numpy as np
 
 from .channel import ChannelParams, sample_count
-from .dsp import KalmanParams, MafParams, default_maf_window, default_min_distance
+from .dsp import KalmanParams, MafParams
 from .errors import ResourceLimitError, ValidationError
 from .modem import Bits, TimingParams, parse_bits
 from .trace_io import open_text
@@ -126,7 +126,7 @@ def _resolve_payload(values: dict[str, str]) -> Bits:
     raise ValidationError("config: provide bits.value or bits.length")
 
 
-def _section(values: dict[str, str], name: str, **defaults):
+def section(values: dict[str, str], name: str, **defaults):
     """Build ``SECTIONS[name]``; an absent key takes ``defaults`` or else the field's default."""
     cls = SECTIONS[name]
     return cls(**{f.name: _get(values, f"{name}.{f.name}", _KINDS[f.type],
@@ -134,7 +134,7 @@ def _section(values: dict[str, str], name: str, **defaults):
 
 
 def build_channel(values: dict[str, str]) -> ChannelParams:
-    channel = _section(values, "channel")
+    channel = section(values, "channel")
     env_seed = os.environ.get(SEED_ENV_VAR)
     if env_seed is None:
         return channel
@@ -145,8 +145,43 @@ def build_channel(values: dict[str, str]) -> ChannelParams:
     return replace(channel, rng_seed=seed)  # replace re-runs ChannelParams' checks
 
 
+# Each resolver decides one parameter and its default from the merged values; build_config
+# passes the channel's sample interval, and a staged command its trace's.
+def resolve_maf(values: dict[str, str], sample_interval: float) -> MafParams:
+    if "maf.window" in values or "timing.t_on" not in values:
+        return section(values, "maf")  # without either, the error names maf.window
+    return MafParams(max(1, round(_get(values, "timing.t_on", float) / sample_interval)))
+
+
+def resolve_kalman(values: dict[str, str]) -> KalmanParams | None:
+    if not any(key.startswith("kalman.") for key in values):
+        return None  # tuned per trace at run time
+    return section(values, "kalman", x0=0.0, p0=_get(values, "kalman.r", float))
+
+
+def resolve_min_distance(values: dict[str, str], sample_interval: float) -> int:
+    return _get(values, "peak.min_distance", int, max(1, round(1.0 / sample_interval)))
+
+
+def resolve_tolerance(values: dict[str, str]) -> float:
+    tolerance = _get(values, "tolerance", float, 1.0)
+    if not tolerance > 0:
+        raise ValidationError("tolerance must be positive")
+    return tolerance
+
+
+def resolve_decode_window(values: dict[str, str]) -> float:
+    if "decode.window" in values:
+        return _get(values, "decode.window", float)
+    return min(resolve_tolerance(values), section(values, "timing").symbol_duration / 2)
+
+
+def resolve_dose(values: dict[str, str]) -> float:
+    return _get(values, "dose", float, 1.0)
+
+
 def build_config(values: dict[str, str]) -> ExperimentConfig:
-    timing = _section(values, "timing")
+    timing = section(values, "timing")
     channel = build_channel(values)
     preamble = _get(values, "preamble", int, 1)
     if preamble < 1:
@@ -156,28 +191,16 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
     n_bits = float(preamble) + _get(values, "bits.length", int, len(values.get("bits.value", "")))
     sample_count(n_bits * timing.symbol_duration, channel)
 
-    dt = channel.sample_interval
-    maf = _section(values, "maf", window=default_maf_window(dt, timing.t_on))
-    kalman = None
-    if "kalman.q" in values or "kalman.r" in values:
-        kalman = _section(values, "kalman", x0=0.0, p0=_get(values, "kalman.r", float))
-    thresholds = {b: _get(values, f"peak.threshold.{b}", float, None) for b in BRANCHES}
-
-    tolerance = _get(values, "tolerance", float, 1.0)
-    if not tolerance > 0:
-        raise ValidationError("tolerance must be positive")
-    decode_window = _get(values, "decode.window", float, min(tolerance, timing.symbol_duration / 2))
-
     return ExperimentConfig(
         timing=timing,
         channel=channel,
-        maf=maf,
-        kalman=kalman,
-        peak_min_distance=_get(values, "peak.min_distance", int, default_min_distance(dt)),
-        peak_thresholds=thresholds,
-        tolerance=tolerance,
-        decode_window=decode_window,
-        dose=_get(values, "dose", float, 1.0),
+        maf=resolve_maf(values, channel.sample_interval),
+        kalman=resolve_kalman(values),
+        peak_min_distance=resolve_min_distance(values, channel.sample_interval),
+        peak_thresholds={b: _get(values, f"peak.threshold.{b}", float, None) for b in BRANCHES},
+        tolerance=resolve_tolerance(values),
+        decode_window=resolve_decode_window(values),
+        dose=resolve_dose(values),
         preamble=preamble,
         payload=_resolve_payload(values),
     )

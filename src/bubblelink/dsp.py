@@ -54,16 +54,6 @@ class PeakDetectParams:
             raise ValidationError("min_distance must be at least 1 sample")
 
 
-def default_maf_window(sample_interval: float, injection_duration: float = 0.3) -> int:
-    """Window matching the injection duration (heuristic default)."""
-    return max(1, round(injection_duration / sample_interval))
-
-
-def default_min_distance(sample_interval: float, separation: float = 1.0) -> int:
-    """Minimum peak separation of ~1 s in samples (heuristic default)."""
-    return max(1, round(separation / sample_interval))
-
-
 def default_threshold(trace: SensorTrace) -> float:
     """Heuristic detection threshold: half the 95th amplitude percentile."""
     if len(trace) == 0:

@@ -80,20 +80,28 @@ def _numeric_lines(fh: BinaryIO) -> int:
     return 0 if blank else lines + (end != b"\n")
 
 
+def _is_header(line: bytes, header: list[str]) -> bool:
+    """Whether csv.reader reads ``line`` on its own as ``header``, such as a quoted header."""
+    with suppress(UnicodeDecodeError, csv.Error):  # strict: a quote left open is an error
+        return [cell.strip() for cell in next(csv.reader([line.decode()], strict=True))] == header
+    return False
+
+
 def _read_table(path: str | os.PathLike, header: list[str]) -> np.ndarray:
     """Read a numeric CSV with the given header row into a (rows, columns) array.
 
     Every cell must hold a finite number; an error names the file, the row
     (the header is row 1) and, for a bad cell, the column. np.loadtxt reads a
-    file whose first line is the header and whose body ``_numeric_lines``
-    counts; its table is kept if it has a row per body line (np.loadtxt skips
-    blank lines and joins quoted line ends), ``len(header)`` columns and only
-    finite numbers. Any other file is read and checked row by row with
-    csv.reader.
+    file whose first line is the header, its exact bytes or else a line that
+    ``_is_header``, and whose body ``_numeric_lines`` counts; its table is kept
+    if it has a row per body line (np.loadtxt skips blank lines and joins
+    quoted line ends), ``len(header)`` columns and only finite numbers. Any
+    other file is read and checked row by row with csv.reader.
     """
     head = ",".join(header).encode()
     with open(path, "rb") as fh:
-        if fh.readline() in (head + b"\n", head + b"\r\n"):
+        first = fh.readline()
+        if first in (head + b"\n", head + b"\r\n") or _is_header(first, header):
             start = fh.tell()
             if lines := _numeric_lines(fh):
                 fh.seek(start)

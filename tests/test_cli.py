@@ -2,13 +2,15 @@ import csv
 import filecmp
 import hashlib
 import os
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bubblelink.channel import mean_flow_velocity
-from bubblelink.cli import main
+from bubblelink.cli import ALIASES, main
+from bubblelink.config import BRANCHES, KNOWN_KEYS, parse_config_text, preset_text
 from bubblelink.signals import SensorTrace
 from bubblelink.trace_io import read_bits, read_peaks, read_schedule, read_trace, write_trace
 
@@ -109,6 +111,50 @@ class TestSubcommands:
                      *NOISELESS, "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_filter_kalman_x0_defaults_to_zero(self, tmp_path):
+        src, dst = tmp_path / "t.csv", tmp_path / "f.csv"
+        write_trace(SensorTrace(0.04, 0.0, np.full(10, 5.0)), src)
+        assert main(["filter", "--in", str(src), "--method", "kalman", "--q", "1", "--r", "2",
+                     "--out", str(dst)]) == 0
+        # from x0 = 0 and p0 = r = 2 the first gain is (2 + 1) / (2 + 1 + 2) = 0.6
+        assert read_trace(dst).samples[0] == pytest.approx(3.0)
+
+    @pytest.mark.parametrize("extra, bits", [
+        ([], [0, 0]), (["--set", "tolerance=2"], [1, 0]),
+    ], ids=["tolerance", "half-symbol"])
+    def test_decode_window_defaults_to_tolerance_within_half_a_symbol(self, tmp_path, extra, bits):
+        peaks_f, bits_f = tmp_path / "p.csv", tmp_path / "b.txt"
+        peaks_f.write_text("time_s,amplitude\n1.25,1.0\n")  # 1.1 s after bit 0's centre
+        assert main(["decode", "--peaks", str(peaks_f), "--t-on", "0.3", "--t-off", "2.0",
+                     "--delay", "0", "--n-bits", "2", *extra, "--out", str(bits_f)]) == 0
+        assert read_bits(bits_f) == bits
+
+    def test_filter_maf_window_defaults_to_t_on(self, tmp_path):
+        src, dst = tmp_path / "t.csv", tmp_path / "f.csv"
+        write_trace(SensorTrace(0.04, 0.0, np.arange(20.0)), src)
+        assert main(["filter", "--in", str(src), "--method", "maf", "--set", "timing.t_on=0.12",
+                     "--out", str(dst)]) == 0
+        assert read_trace(dst).samples.tolist() == [0.0, 0.5] + list(range(1, 19))  # window 3
+
+    def test_alias_beats_set_and_preset(self, tmp_path):
+        src, dst = tmp_path / "t.csv", tmp_path / "f.csv"
+        write_trace(SensorTrace(0.04, 0.0, np.arange(20.0)), src)
+        assert main(["filter", "--in", str(src), "--method", "maf", "--preset", "paper-like",
+                     "--set", "maf.window=4", "--window", "1", "--out", str(dst)]) == 0
+        assert read_trace(dst).samples.tolist() == list(range(20))
+
+    def test_every_alias_is_a_config_key(self):
+        assert {key for aliases in ALIASES.values() for key in aliases.values()} <= KNOWN_KEYS
+
+    def test_readme_staged_commands_run(self, tmp_path, monkeypatch):
+        readme = (Path(__file__).parents[1] / "README.md").read_text()
+        block = next(b for b in readme.split("```sh\n")[1:] if b.startswith("bubblelink encode"))
+        lines = block.partition("```")[0].splitlines()
+        assert len(lines) == 7
+        monkeypatch.chdir(tmp_path)
+        for line in lines:
+            assert main(shlex.split(line)[1:]) == 0, line
+
 
 class TestPipeline:
     def run(self, tmp_path, name, extra=()):
@@ -145,29 +191,52 @@ class TestPipeline:
         assert not filecmp.cmp(a / "raw_trace.csv", b / "raw_trace.csv", shallow=False)
 
     def test_composability_with_subcommands(self, tmp_path):
-        out = self.run(tmp_path, "run", ["--set", "bits.value=10110010"])
-        # rebuild the maf branch by hand from the pipeline's intermediates
-        trace_f = tmp_path / "maf.csv"
-        peaks_f = tmp_path / "peaks.csv"
-        report_f = tmp_path / "report.csv"
-        assert main(["filter", "--in", str(out / "raw_trace.csv"), "--method", "maf",
-                     "--window", "8", "--out", str(trace_f)]) == 0
-        # CSV round-trips at 9 significant digits, so compare values, not bytes
-        assert np.allclose(read_trace(trace_f).samples,
-                           read_trace(out / "maf_trace.csv").samples, rtol=1e-8)
-        assert main(["detect", "--in", str(trace_f), "--threshold", "0.55",
-                     "--min-distance", "25", "--out", str(peaks_f)]) == 0
-        assert read_peaks(peaks_f).times() == pytest.approx(
-            read_peaks(out / "maf_peaks.csv").times(), abs=1e-6
-        )
+        """The staged commands, given the preset and no numeric stage flag, rebuild every branch."""
+        out = self.run(tmp_path, "run")
+        preset = parse_config_text(preset_text("paper-like"))
+        bits = "".join(map(str, read_bits(out / "bits_sent.txt")))
         transit = 0.5 / mean_flow_velocity(1.24, 0.009525)
-        assert main(["evaluate", "--peaks", str(peaks_f), "--truth", str(out / "schedule.csv"),
-                     "--tolerance", "1.0", "--truth-shift", str(transit),
-                     "--out", str(report_f)]) == 0
-        manual = read_report(report_f)
-        branch = read_report(out / "maf_report.csv")
-        for key in ("tp", "fp", "fn", "precision", "recall", "f1", "ber", "bsr"):
-            assert manual[key] == branch[key], key
+
+        def stage(*argv):
+            assert main([*map(str, argv), "--preset", "paper-like"]) == 0
+
+        schedule_f, raw_f = tmp_path / "schedule.csv", tmp_path / "raw_trace.csv"
+        stage("encode", "--bits", bits, "--out", schedule_f)
+        stage("simulate", "--schedule", schedule_f, "--out", raw_f)
+        for name in ("schedule.csv", "raw_trace.csv"):
+            assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
+        for branch in BRANCHES:
+            trace_f, peaks_f = tmp_path / f"{branch}_trace.csv", tmp_path / f"{branch}_peaks.csv"
+            bits_f, report_f = tmp_path / f"{branch}_bits.txt", tmp_path / f"{branch}_report.csv"
+            if branch != "raw":
+                stage("filter", "--in", raw_f, "--method", branch, "--out", trace_f)
+                # filter reads the raw trace at 9 significant digits, and both sides write at 9
+                staged, piped = read_trace(trace_f).samples, read_trace(out / trace_f.name).samples
+                np.testing.assert_allclose(staged, piped, rtol=2e-8, atol=1e-8)
+            stage("detect", "--in", trace_f, "--threshold", preset[f"peak.threshold.{branch}"],
+                  "--out", peaks_f)
+            assert read_peaks(peaks_f).times() == read_peaks(out / peaks_f.name).times(), branch
+            pipeline_report = read_report(out / report_f.name)
+            stage("decode", "--peaks", peaks_f, "--delay", pipeline_report["decode_delay"],
+                  "--n-bits", len(bits), "--out", bits_f)
+            assert bits_f.read_bytes() == (out / bits_f.name).read_bytes(), branch
+            stage("evaluate", "--peaks", peaks_f, "--truth", schedule_f,
+                  "--truth-shift", transit, "--out", report_f)
+            staged_report = read_report(report_f)
+            for key in ("tp", "fp", "fn", "precision", "recall", "f1", "ber", "bsr"):
+                assert staged_report[key] == pipeline_report[key], (branch, key)
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: read_schedule ends the span at the "
+                       "last event, so simulate drops the trailing 0-bits")
+    def test_staged_simulate_spans_every_bit(self, tmp_path):
+        out = self.run(tmp_path, "run", ["--set", "bits.value=10000000000"])
+        bits = "".join(map(str, read_bits(out / "bits_sent.txt")))
+        schedule, trace = tmp_path / "s.csv", tmp_path / "t.csv"
+        assert main(["encode", "--bits", bits, "--preset", "paper-like",
+                     "--out", str(schedule)]) == 0
+        assert main(["simulate", "--schedule", str(schedule), "--preset", "paper-like",
+                     "--out", str(trace)]) == 0
+        assert len(read_trace(trace)) == len(read_trace(out / "raw_trace.csv")) == 690
 
     @pytest.mark.parametrize("tree", DIGEST_TREES)
     def test_paper_like_tree_digests(self, tmp_path, tree):
@@ -233,31 +302,46 @@ class TestExitCodes:
         rc = main(["pipeline", "--config", str(cfg), "--out-dir", str(tmp_path / "out")])
         assert rc == 2
 
+    def test_partial_kalman_section_names_the_missing_key(self, tmp_path, capsys):
+        lines = preset_text("paper-like").splitlines(keepends=True)
+        cfg = tmp_path / "c.cfg"
+        kept = [line for line in lines if not line.startswith("kalman.")]
+        cfg.write_text("".join(kept) + "kalman.x0=5\n")
+        out = tmp_path / "out"
+        rc = main(["pipeline", "--config", str(cfg), "--out-dir", str(out)])
+        assert rc == 2
+        assert "missing required key 'kalman.r'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv, message", [
         ("encode --bits 101 --t-on 2.0 --t-off 0.3", "t_off must be >= t_on"),
-        ("encode --bits 101 --t-on 0.3 --t-off 2.0 --dose inf", "must be finite"),
+        ("encode --bits 101 --t-on 0.3 --t-off 2.0 --dose inf", "'dose': 'inf' is not finite"),
         ("filter --in {trace} --method maf --window 0", "window must be at least 1"),
-        ("filter --in {trace} --method kalman --q 0.5", "--q needs --r"),
-        ("filter --in {trace} --method kalman --r 0.5", "--r needs --q"),
+        ("filter --in {trace} --method maf", "missing required key 'maf.window'"),
+        ("filter --in {trace} --method kalman --q 0.5", "missing required key 'kalman.r'"),
+        ("filter --in {trace} --method kalman --r 0.5", "missing required key 'kalman.q'"),
         ("detect --in {trace} --min-distance 0", "min_distance must be at least 1"),
         ("detect --in {trace} --threshold nan", "threshold must be finite"),
         ("decode --peaks {peaks} --t-on 0.3 --t-off 2.0 --delay nan --n-bits 4",
          "delay must be finite"),
         ("decode --peaks {peaks} --t-on 0.3 --t-off 2.0 --delay inf --n-bits 4",
          "delay must be finite"),
-        ("filter --in {trace} --method kalman --q nan --r 1", "q must be finite"),
-        ("filter --in {trace} --method kalman --q 1 --r inf", "r must be finite"),
-        ("filter --in {trace} --method kalman --q 1 --r 1 --x0 inf", "x0 must be finite"),
+        ("filter --in {trace} --method kalman --q nan --r 1", "'kalman.q': 'nan' is not finite"),
+        ("filter --in {trace} --method kalman --q 1 --r inf", "'kalman.r': 'inf' is not finite"),
+        ("filter --in {trace} --method kalman --q 1 --r 1 --x0 inf",
+         "'kalman.x0': 'inf' is not finite"),
+        ("filter --in {trace} --method kalman --x0 1", "missing required key 'kalman.r'"),
         ("decode --peaks {peaks} --t-on 0.3 --t-off inf --delay 0 --n-bits 3",
-         "t_off must be finite"),
-        ("encode --bits 0 --t-on 0.3 --t-off inf", "t_off must be finite"),
+         "'timing.t_off': 'inf' is not finite"),
+        ("encode --bits 0 --t-on 0.3 --t-off inf", "'timing.t_off': 'inf' is not finite"),
         ("decode --peaks {peaks} --t-on 1e308 --t-off 1e308 --delay 0 --n-bits 3",
          "symbol_duration must be finite"),
-    ], ids=["encode-t_off-below-t_on", "encode-dose-inf", "filter-window-0",
+    ], ids=["encode-t_off-below-t_on", "encode-dose-inf", "filter-window-0", "filter-no-window",
             "filter-q-without-r", "filter-r-without-q", "detect-min-distance-0",
             "detect-threshold-nan", "decode-delay-nan", "decode-delay-inf",
             "filter-kalman-q-nan", "filter-kalman-r-inf", "filter-kalman-x0-inf",
-            "decode-t_off-inf", "encode-t_off-inf", "decode-symbol-duration-overflow"])
+            "filter-x0-without-q-r", "decode-t_off-inf", "encode-t_off-inf",
+            "decode-symbol-duration-overflow"])
     def test_invalid_argument_is_validation_error(self, tmp_path, capsys, argv, message):
         trace_f = tmp_path / "t.csv"
         write_trace(SensorTrace(0.04, 0.0, np.abs(np.sin(np.arange(100) / 5))), trace_f)

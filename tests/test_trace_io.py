@@ -3,6 +3,7 @@ import csv
 import numpy as np
 import pytest
 
+from bubblelink import trace_io
 from bubblelink.config import load_config
 from bubblelink.errors import FormatError, ValidationError
 from bubblelink.modem import InjectionEvent, InjectionSchedule
@@ -124,6 +125,25 @@ class TestTraceFiles:
         p.write_text('time_s,amplitude\r\n0,1\r\n"0.04","-2.5e-3"\r\n0.08, +.5\t')
         monkeypatch.setattr(csv, "reader", None)
         assert read_trace(p).samples.tolist() == [1.0, -2.5e-3, 0.5]
+
+    @pytest.mark.parametrize("header, newline, loop", [
+        (b'"time_s","amplitude"', b"\n", False),
+        (b' time_s ,"amplitude"', b"\r\n", False),
+        (b'"time_s","amplitude"', b"\r", True),  # lone CR line ends stay on the row loop
+    ], ids=["quoted", "padded-crlf", "quoted-lone-cr"])
+    def test_csv_reader_header_reads_as_its_plain_twin(self, tmp_path, monkeypatch, header, newline, loop):
+        plain, other = tmp_path / "plain.csv", tmp_path / "other.csv"
+        write_trace(SensorTrace(0.04, 1.5, np.linspace(-1.0, 2.0, 57)), plain)
+        lines = plain.read_bytes().splitlines()
+        other.write_bytes(newline.join([header] + lines[1:]) + newline)
+        opened = []  # the row loop opens the file with open_text; np.loadtxt does not
+        open_text = trace_io.open_text
+        monkeypatch.setattr(trace_io, "open_text",
+                            lambda *a, **k: opened.append(a) or open_text(*a, **k))
+        a, b = read_trace(plain), read_trace(other)
+        assert (a.sample_interval, a.t0) == (b.sample_interval, b.t0)
+        assert np.array_equal(a.samples, b.samples)
+        assert len(opened) == loop
 
 
 def test_digit_word_tables_match_their_definitions():
