@@ -162,8 +162,8 @@ def simulate(schedule: InjectionSchedule, params: ChannelParams) -> SensorTrace:
     """
     dt = params.sample_interval
     n = sample_count(trace_span(schedule, params), params)
-    times = (np.arange(n) + 0.5) * dt
-    x = clean_signal(schedule, params, times)
+    clock = SensorTrace(sample_interval=dt, t0=0.0, samples=np.zeros(n))
+    x = clean_signal(schedule, params, clock.bin_centers())
 
     rng = np.random.Generator(np.random.PCG64(params.rng_seed))
     if params.noise_std > 0:
@@ -175,4 +175,4 @@ def simulate(schedule: InjectionSchedule, params: ChannelParams) -> SensorTrace:
             amp = params.spike_amplitude_max * (1.0 - rng.random())  # in (0, max]
             x[bin_idx] += amp
     np.maximum(x, 0.0, out=x)
-    return SensorTrace(sample_interval=dt, t0=0.0, samples=x)
+    return clock.with_samples(x)

@@ -52,7 +52,7 @@ def cmd_encode(args) -> int:
     elif args.bits is not None:
         bits = parse_bits(args.bits, "--bits")
     else:
-        raise ValidationError("encode requires --bits or --bits-file")
+        bits = cfgmod.resolve_bits(values)
     schedule = encode(bits, cfgmod.section(values, "timing"), cfgmod.resolve_dose(values))
     trace_io.write_schedule(schedule, args.out)
     return 0
@@ -71,8 +71,7 @@ def cmd_filter(args) -> int:
     if args.method == "maf":
         out = dsp.moving_average(trace, cfgmod.resolve_maf(values, trace.sample_interval))
     else:
-        params = cfgmod.resolve_kalman(values) or dsp.default_kalman_params(trace)
-        out = dsp.kalman_filter(trace, params)
+        out = dsp.kalman_filter(trace, cfgmod.resolve_kalman(values))
     trace_io.write_trace(out, args.out)
     return 0
 
@@ -140,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="bits -> injection schedule CSV")
-    p.add_argument("--bits", help="bit string, e.g. 10110")
+    p.add_argument("--bits", help="bit string, e.g. 10110; default: the config's bits, preamble included")
     p.add_argument("--bits-file", help="file holding the bit string")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)

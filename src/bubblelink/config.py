@@ -59,13 +59,7 @@ class ExperimentConfig:
     tolerance: float
     decode_window: float
     dose: float
-    preamble: int
-    payload: Bits
-
-    @property
-    def bits(self) -> Bits:
-        """Preamble 1-bits followed by the payload."""
-        return [1] * self.preamble + list(self.payload)
+    bits: Bits  # transmitted, preamble included
 
 
 def parse_config_text(text: str) -> dict[str, str]:
@@ -121,9 +115,7 @@ def _resolve_payload(values: dict[str, str]) -> Bits:
             return [int(b) for b in rng.random(length) < 0.5]
         except MemoryError:
             raise ResourceLimitError(f"bits.length={length} does not fit in memory") from None
-    if "bits.value" in values:
-        return parse_bits(values["bits.value"], "bits.value")
-    raise ValidationError("config: provide bits.value or bits.length")
+    return parse_bits(values["bits.value"], "bits.value")
 
 
 def section(values: dict[str, str], name: str, **defaults):
@@ -180,19 +172,25 @@ def resolve_dose(values: dict[str, str]) -> float:
     return _get(values, "dose", float, 1.0)
 
 
-def build_config(values: dict[str, str]) -> ExperimentConfig:
-    timing = section(values, "timing")
-    channel = build_channel(values)
+def resolve_bits(values: dict[str, str]) -> Bits:
+    """Preamble 1-bits, then the payload; a run over the sample cap is refused before drawing."""
     preamble = _get(values, "preamble", int, 1)
     if preamble < 1:
         raise ValidationError("preamble must be at least 1 (decode delay estimation needs it)")
-    # encode's span, which simulate's never undercuts: refuse an over-cap run before drawing bits;
-    # summed as a float, since two integers within float range can add up past it
+    if "bits.length" not in values and "bits.value" not in values:
+        raise ValidationError("config: provide bits.value or bits.length")
+    # encode's span, which simulate's never undercuts; summed as a float, since two integers
+    # within float range can add up past it
     n_bits = float(preamble) + _get(values, "bits.length", int, len(values.get("bits.value", "")))
-    sample_count(n_bits * timing.symbol_duration, channel)
+    sample_count(n_bits * section(values, "timing").symbol_duration, build_channel(values))
+    return [1] * preamble + _resolve_payload(values)
 
+
+def build_config(values: dict[str, str]) -> ExperimentConfig:
+    bits = resolve_bits(values)  # first, so a run over the sample cap reaches no other resolver
+    channel = build_channel(values)
     return ExperimentConfig(
-        timing=timing,
+        timing=section(values, "timing"),
         channel=channel,
         maf=resolve_maf(values, channel.sample_interval),
         kalman=resolve_kalman(values),
@@ -201,8 +199,7 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         tolerance=resolve_tolerance(values),
         decode_window=resolve_decode_window(values),
         dose=resolve_dose(values),
-        preamble=preamble,
-        payload=_resolve_payload(values),
+        bits=bits,
     )
 
 

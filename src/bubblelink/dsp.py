@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .signals import Peak, PeakSet, SensorTrace
+from .signals import PeakSet, SensorTrace
 
 KALMAN_BLOCK = 1024  # samples per tolist(); a whole-trace list raised peak memory
 
@@ -76,8 +76,6 @@ def moving_average(trace: SensorTrace, params: MafParams) -> SensorTrace:
     x = trace.samples
     w = params.window
     n = len(x)
-    if n == 0 or w == 1:
-        return trace.with_samples(x.copy())
     y = np.empty(n, dtype=float)
     head = min(w - 1, n)
     for i in range(head):
@@ -106,12 +104,15 @@ def _kalman_gains(params: KalmanParams, n: int) -> np.ndarray:
     return gains
 
 
-def kalman_filter(trace: SensorTrace, params: KalmanParams) -> SensorTrace:
+def kalman_filter(trace: SensorTrace, params: KalmanParams | None) -> SensorTrace:
     """Scalar random-walk Kalman smoother applied sample by sample.
 
+    With ``params`` None it is tuned to the trace by ``default_kalman_params``.
     Samples are converted to Python floats ``KALMAN_BLOCK`` at a time. Each
     takes its own gain until the gain settles, then the settled one.
     """
+    if params is None:
+        params = default_kalman_params(trace)
     gains = _kalman_gains(params, len(trace))
     x = params.x0
     out = np.empty(len(trace), dtype=float)
@@ -155,6 +156,4 @@ def detect_peaks(trace: SensorTrace, params: PeakDetectParams) -> PeakSet:
             k == len(accepted) or accepted[k] - i >= params.min_distance
         ):
             accepted.insert(k, i)
-    dt = trace.sample_interval
-    peaks = tuple(Peak(trace.t0 + (i + 0.5) * dt, float(x[i])) for i in accepted)
-    return PeakSet(peaks)
+    return PeakSet(tuple(zip(trace.bin_centers()[accepted].tolist(), x[accepted].tolist())))

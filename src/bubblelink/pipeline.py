@@ -37,8 +37,7 @@ def _filter_branch(name: str, trace: SensorTrace, cfg: ExperimentConfig) -> Sens
         return trace
     if name == "maf":
         return dsp.moving_average(trace, cfg.maf)
-    params = cfg.kalman if cfg.kalman is not None else dsp.default_kalman_params(trace)
-    return dsp.kalman_filter(trace, params)
+    return dsp.kalman_filter(trace, cfg.kalman)
 
 
 def _run_branch(
@@ -105,9 +104,9 @@ def _write_tree(
         extra = [
             ("bits_sent", len(bits)),
             # secondary variant over all transmitted bits, not just 1-bits
-            ("ber_over_bits_sent", f"{(m.fp + m.fn) / len(bits):.9g}"),
-            ("threshold", f"{res.threshold:.9g}"),
-            ("decode_delay", f"{res.decode_delay:.9g}"),
+            ("ber_over_bits_sent", (m.fp + m.fn) / len(bits)),
+            ("threshold", res.threshold),
+            ("decode_delay", res.decode_delay),
             ("warning", res.warning or ""),
         ]
         with open(os.path.join(out_dir, f"{name}_report.csv"), "w", encoding="utf-8", newline="") as fh:

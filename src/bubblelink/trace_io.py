@@ -15,14 +15,14 @@ import os
 import sys
 from contextlib import ExitStack, contextmanager, suppress
 from itertools import chain
-from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .errors import FormatError, ValidationError
 from .metrics import MatchResult, MetricsReport
 from .modem import Bits, InjectionEvent, InjectionSchedule, parse_bits, validate_bits
-from .signals import Peak, PeakSet, SensorTrace
+from .signals import PeakSet, SensorTrace
 
 SPACING_TOLERANCE = 1e-6  # s, absorbs float printing jitter
 
@@ -155,6 +155,15 @@ def _write_table(
         fh.write((row_format + "\n") * len(rows) % tuple(chain.from_iterable(rows)))
 
 
+def _build(path: str | os.PathLike, make: Callable, *args):
+    """``make(*args)`` for a table read from ``path``; a ValidationError becomes a
+    FormatError that names the file."""
+    try:
+        return make(*args)
+    except ValidationError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+
+
 def read_trace(path: str | os.PathLike) -> SensorTrace:
     """Read a `time_s,amplitude` CSV, validating uniform sample spacing."""
     table = _read_table(path, TRACE_HEADER)
@@ -166,10 +175,7 @@ def read_trace(path: str | os.PathLike) -> SensorTrace:
     t0, t1 = times[:2].tolist()
     if not t1 > t0:
         raise FormatError(f"{path}: row 3: times must be strictly ascending")
-    try:
-        trace = SensorTrace(sample_interval=t1 - t0, t0=t0, samples=table[:, 1].copy())
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    trace = _build(path, SensorTrace, t1 - t0, t0, table[:, 1].copy())
     with np.errstate(over="ignore"):  # a step that overflows is as non-uniform as any
         steps = np.diff(times)
         bad = np.flatnonzero(np.abs(steps - trace.sample_interval) > SPACING_TOLERANCE)
@@ -324,10 +330,7 @@ def write_trace(trace: SensorTrace, path: str | os.PathLike) -> None:
 def read_schedule(path: str | os.PathLike) -> InjectionSchedule:
     events = tuple(InjectionEvent(*row) for row in _read_table(path, SCHEDULE_HEADER).tolist())
     span = events[-1].start + events[-1].duration if events else 0.0
-    try:
-        return InjectionSchedule(events, span)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _build(path, InjectionSchedule, events, span)
 
 
 def write_schedule(schedule: InjectionSchedule, path: str | os.PathLike) -> None:
@@ -335,11 +338,7 @@ def write_schedule(schedule: InjectionSchedule, path: str | os.PathLike) -> None
 
 
 def read_peaks(path: str | os.PathLike) -> PeakSet:
-    peaks = tuple(Peak(*row) for row in _read_table(path, PEAKS_HEADER).tolist())
-    try:
-        return PeakSet(peaks)
-    except ValidationError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    return _build(path, PeakSet, _read_table(path, PEAKS_HEADER).tolist())
 
 
 def write_peaks(peaks: PeakSet, path: str | os.PathLike) -> None:
@@ -376,20 +375,20 @@ def write_report(
 ) -> None:
     """Write a `key,value` report: the nine metric rows, then ``extra`` rows.
 
-    Values are CSV-quoted where needed, so a value holding a comma stays one
-    field.
+    A float value is printed as ``%.9g`` and any other value with ``str``. Values
+    are CSV-quoted where needed, so a value holding a comma stays one field.
     """
     writer = csv.writer(fh, lineterminator="\n")
     writer.writerow(["key", "value"])
-    writer.writerows([
+    writer.writerows((key, f"{value:.9g}" if isinstance(value, float) else value) for key, value in [
         ("tp", match.tp),
         ("fp", match.fp),
         ("fn", match.fn),
-        ("precision", f"{report.precision:.9g}"),
-        ("recall", f"{report.recall:.9g}"),
-        ("f1", f"{report.f1:.9g}"),
-        ("ber", f"{report.ber:.9g}"),
-        ("bsr", f"{report.bsr:.9g}"),
+        ("precision", report.precision),
+        ("recall", report.recall),
+        ("f1", report.f1),
+        ("ber", report.ber),
+        ("bsr", report.bsr),
         ("peaks_total", report.peaks_total),
         *extra,
     ])

@@ -104,12 +104,11 @@ def test_noiseless_round_trip(tmp_path):
         },
     )
     results = run_pipeline(cfg, tmp_path / "run")
-    payload = list(cfg.payload)
-    assert len(payload) == 64
+    assert len(cfg.bits) == 65
     for name in ("raw", "maf", "kalman"):
         res = results[name]
         assert res.report.ber == 0.0, name
-        assert res.decoded[cfg.preamble :] == payload, name
+        assert res.decoded == cfg.bits, name
     assert time.monotonic() - start < 5.0
 
 

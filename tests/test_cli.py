@@ -201,7 +201,7 @@ class TestPipeline:
             assert main([*map(str, argv), "--preset", "paper-like"]) == 0
 
         schedule_f, raw_f = tmp_path / "schedule.csv", tmp_path / "raw_trace.csv"
-        stage("encode", "--bits", bits, "--out", schedule_f)
+        stage("encode", "--out", schedule_f)
         stage("simulate", "--schedule", schedule_f, "--out", raw_f)
         for name in ("schedule.csv", "raw_trace.csv"):
             assert (tmp_path / name).read_bytes() == (out / name).read_bytes(), name
@@ -354,9 +354,11 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_encode_requires_bits(self, tmp_path):
+    def test_encode_requires_bits(self, tmp_path, capsys):
         rc = main(["encode", "--t-on", "0.3", "--t-off", "2.0", "--out", str(tmp_path / "s.csv")])
         assert rc == 2
+        assert "config: provide bits.value or bits.length" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
 
     @pytest.mark.parametrize("setting", [
         "peak.threshold.raw=abc", "channel.echo_cutoff=inf", "dose=nan", "peak.treshold=9",

@@ -8,6 +8,7 @@ from bubblelink.dsp import (
     KalmanParams,
     MafParams,
     PeakDetectParams,
+    default_kalman_params,
     default_threshold,
     detect_peaks,
     kalman_filter,
@@ -44,8 +45,7 @@ class TestMovingAverage:
 
     def test_matches_brute_force_exactly(self):
         rng = np.random.Generator(np.random.PCG64(21))
-        for _ in range(20):
-            n = int(rng.integers(1, 5000))
+        for n in [0, *rng.integers(0, 5000, 19).tolist()]:  # 0: an empty trace
             w = int(rng.integers(1, 100))
             x = rng.random(n) * 10
             out = moving_average(make_trace(x), MafParams(w)).samples
@@ -78,6 +78,12 @@ class TestKalmanFilter:
         x = rng.random(50)
         out = kalman_filter(make_trace(x), KalmanParams(q=1.0, r=1e-12, x0=0.0, p0=1.0))
         assert np.max(np.abs(out.samples[1:] - x[1:])) < 1e-6
+
+    def test_none_tunes_to_the_trace(self):
+        rng = np.random.Generator(np.random.PCG64(25))
+        trace = make_trace(3.0 + rng.random(3000))  # starts away from 0, so x0 matters
+        tuned = kalman_filter(trace, default_kalman_params(trace)).samples
+        assert np.array_equal(kalman_filter(trace, None).samples, tuned)
 
     def test_convex_combination(self):
         rng = np.random.Generator(np.random.PCG64(24))
@@ -123,6 +129,9 @@ class TestDetectPeaks:
         peaks = detect_peaks(make_trace([0, 5, 0, 0, 6, 0]), PeakDetectParams(3.0, 1))
         times = peaks.times()
         assert times == pytest.approx([(1 + 0.5) * 0.04, (4 + 0.5) * 0.04])
+        shifted = make_trace([0, 5, 0, 0, 6, 0], t0=1234.5678)
+        peaks = detect_peaks(shifted, PeakDetectParams(3.0, 1))
+        assert peaks.times() == shifted.bin_centers()[[1, 4]].tolist()
 
     def test_greedy_amplitude_suppression(self):
         peaks = detect_peaks(make_trace([0, 5, 4, 6, 0]), PeakDetectParams(3.0, 3))

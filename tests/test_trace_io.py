@@ -1,4 +1,5 @@
 import csv
+import io
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from bubblelink import trace_io
 from bubblelink.config import load_config
 from bubblelink.errors import FormatError, ValidationError
+from bubblelink.metrics import MatchResult, MetricsReport
 from bubblelink.modem import InjectionEvent, InjectionSchedule
 from bubblelink.signals import Peak, PeakSet, SensorTrace
 from bubblelink.trace_io import (
@@ -236,6 +238,19 @@ def test_non_utf8_file_is_format_error(tmp_path, read):
     p.write_bytes(b"\xfftime_s,amplitude\n")
     with pytest.raises(FormatError, match="f.csv: not UTF-8 text"):
         read(p)
+
+
+def test_report_prints_floats_as_9g_and_other_values_as_given():
+    fh = io.StringIO()
+    report = MetricsReport(precision=2 / 3, recall=1.0, f1=0.8, ber=0.1 + 0.2, bsr=0.7,
+                           peaks_total=7)
+    extra = [("delay", 1 / 3), ("bits_sent", 12), ("note", "a,b"), ("label", "1.23456789012")]
+    trace_io.write_report(fh, MatchResult(2, 1, 0, ()), report, extra)
+    rows = dict(csv.reader(io.StringIO(fh.getvalue())))
+    assert rows["precision"] == "0.666666667" and rows["ber"] == "0.3"
+    assert rows["delay"] == "0.333333333" and rows["recall"] == "1"
+    assert rows["tp"] == "2" and rows["peaks_total"] == "7" and rows["bits_sent"] == "12"
+    assert rows["note"] == "a,b" and rows["label"] == "1.23456789012"
 
 
 class TestBitFiles:
