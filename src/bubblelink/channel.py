@@ -71,23 +71,34 @@ def mean_flow_velocity(flow_rate: float, tube_diameter: float) -> float:
     return q / area
 
 
-def echo_passes(event: InjectionEvent, params: ChannelParams) -> list[tuple[float, float, float]]:
-    """(center_time, amplitude, sigma) per retained sensor pass of one event."""
+def echo_table(
+    schedule: InjectionSchedule, params: ChannelParams
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(centre, amplitude, sigma) arrays of every retained sensor pass, in (event, pass) order.
+
+    Pass k of an event has amplitude ``dose * pass_decay**k``. An event's passes
+    end before the first whose amplitude is below ``echo_cutoff * dose``, or
+    after the first if ``pass_decay`` is 0.
+    """
     v = mean_flow_velocity(params.flow_rate, params.tube_diameter)
-    passes = []
-    k = 0
-    while True:
-        amp = event.dose * params.pass_decay**k
-        if amp < params.echo_cutoff * event.dose:
-            break
-        center = event.start + event.duration / 2 + (params.distance_to_sensor + k * params.loop_length) / v
-        age = center - event.start
-        sigma = params.initial_spread + params.dispersion_coeff * math.sqrt(age)
-        passes.append((center, amp, sigma))
-        if params.pass_decay == 0:
-            break
-        k += 1
-    return passes
+    start, duration, dose = np.array(schedule.events, dtype=float).reshape(-1, 3).T
+    floor = params.echo_cutoff * dose
+    decay = [1.0]  # pass_decay**k, one more k while some event is still above its floor
+    while params.pass_decay > 0 and decay[-1] > 0 and (dose * decay[-1] >= floor).any():
+        decay.append(params.pass_decay ** len(decay))
+    amp = dose[:, None] * np.array(decay)
+    kept = np.logical_and.accumulate(amp >= floor[:, None], axis=1)  # until the first drop
+    event, k = np.nonzero(kept)
+    transit = (params.distance_to_sensor + k * params.loop_length) / v
+    center = start[event] + duration[event] / 2 + transit
+    sigma = params.initial_spread + params.dispersion_coeff * np.sqrt(center - start[event])
+    return center, amp[kept], sigma
+
+
+def echo_passes(event: InjectionEvent, params: ChannelParams) -> list[tuple[float, float, float]]:
+    """(center_time, amplitude, sigma) per retained sensor pass of one event: its echo_table rows."""
+    table = echo_table(InjectionSchedule((event,), 0.0), params)
+    return list(zip(*(column.tolist() for column in table)))
 
 
 def _gaussian_deviates(rng: np.random.Generator, n: int) -> np.ndarray:
@@ -118,6 +129,9 @@ def _poisson_count(rng: np.random.Generator, lam: float) -> int:
 
 # exp(-39**2 / 2) = exp(-760.5): past exp's underflow at -745.1, so exactly 0.0
 _ECHO_RADIUS = 39.0
+# passes per clean_signal chunk are taken until their windows hold this many
+# samples: 128 KiB per temporary, which stays in cache
+_CHUNK_CELLS = 1 << 14
 
 
 def clean_signal(schedule: InjectionSchedule, params: ChannelParams, times: np.ndarray) -> np.ndarray:
@@ -125,24 +139,43 @@ def clean_signal(schedule: InjectionSchedule, params: ChannelParams, times: np.n
 
     Each pass is added only within ``_ECHO_RADIUS`` sigmas of its centre;
     outside that every term is exactly 0.0, so the sum is the full-axis sum.
+    The windows of a chunk of passes are laid end to end and evaluated at
+    once, and ``np.add.at`` adds them in order, so every sample sums its
+    terms in (event, pass) order.
     """
+    center, amp, sigma = echo_table(schedule, params)
+    # each sigma**2 by Python's pow, not sigma * sigma: the two can differ in the last bit
+    neg_var = np.array([-2.0 * s**2 for s in sigma.tolist()])
+    lo = np.searchsorted(times, center - _ECHO_RADIUS * sigma, side="left")
+    width = np.searchsorted(times, center + _ECHO_RADIUS * sigma, side="right") - lo
+    end = np.cumsum(width)  # the passes' cells laid end to end: pass i has [end - width, end)
+    start = end - width
     x = np.zeros_like(times, dtype=float)
-    for event in schedule.events:
-        for center, amp, sigma in echo_passes(event, params):
-            lo = np.searchsorted(times, center - _ECHO_RADIUS * sigma, side="left")
-            hi = np.searchsorted(times, center + _ECHO_RADIUS * sigma, side="right")
-            x[lo:hi] += amp * np.exp(-((times[lo:hi] - center) ** 2) / (2.0 * sigma**2))
+    a = 0
+    while a < len(center):
+        b = max(a + 1, int(np.searchsorted(end, start[a] + _CHUNK_CELLS, side="right")))
+        w = width[a:b]
+        idx = np.repeat(lo[a:b] - start[a:b], w)
+        idx += np.arange(start[a], end[b - 1])
+        d = times[idx]
+        d -= np.repeat(center[a:b], w)
+        d *= d
+        d /= np.repeat(neg_var[a:b], w)  # -(d**2) / (2 sigma**2), the sign moved to the divisor
+        terms = np.exp(d)
+        terms *= np.repeat(amp[a:b], w)
+        np.add.at(x, idx, terms)
+        a = b
     return x
 
 
 def trace_span(schedule: InjectionSchedule, params: ChannelParams) -> float:
-    """Simulated span: schedule span extended past the last retained echo."""
-    span = schedule.total_span
-    for event in schedule.events:
-        passes = echo_passes(event, params)
-        center, _, sigma = passes[-1]
-        span = max(span, center + 4.0 * sigma)
-    return span
+    """Simulated span: schedule span extended past the last retained echo.
+
+    Centre and sigma never decrease from one pass of an event to the next, so
+    the largest centre + 4 sigma of the table is that of some event's last pass.
+    """
+    center, _, sigma = echo_table(schedule, params)
+    return float(np.max(center + 4.0 * sigma, initial=schedule.total_span))
 
 
 def sample_count(span: float, params: ChannelParams) -> int:
@@ -170,9 +203,8 @@ def simulate(schedule: InjectionSchedule, params: ChannelParams) -> SensorTrace:
         x = x + params.noise_std * _gaussian_deviates(rng, n)
     if params.spike_rate > 0:
         n_spikes = _poisson_count(rng, params.spike_rate * n * dt)
-        for _ in range(n_spikes):
-            bin_idx = min(int(rng.random() * n), n - 1)
-            amp = params.spike_amplitude_max * (1.0 - rng.random())  # in (0, max]
-            x[bin_idx] += amp
+        u = rng.random(2 * n_spikes)  # per spike: its bin, then its amplitude
+        bins = np.minimum((u[0::2] * n).astype(np.int64), n - 1)
+        np.add.at(x, bins, params.spike_amplitude_max * (1.0 - u[1::2]))  # in (0, max]
     np.maximum(x, 0.0, out=x)
     return clock.with_samples(x)

@@ -137,12 +137,21 @@ def build_channel(values: dict[str, str]) -> ChannelParams:
     return replace(channel, rng_seed=seed)  # replace re-runs ChannelParams' checks
 
 
+def _samples_in(seconds: float, sample_interval: float) -> int:
+    """Whole samples in ``seconds``, at least one."""
+    samples = seconds / sample_interval
+    if not math.isfinite(samples):
+        raise ValidationError(f"sample interval {sample_interval:g} s is too small: "
+                              f"{seconds:g} s would be {samples:g} samples")
+    return max(1, round(samples))
+
+
 # Each resolver decides one parameter and its default from the merged values; build_config
 # passes the channel's sample interval, and a staged command its trace's.
 def resolve_maf(values: dict[str, str], sample_interval: float) -> MafParams:
     if "maf.window" in values or "timing.t_on" not in values:
         return section(values, "maf")  # without either, the error names maf.window
-    return MafParams(max(1, round(_get(values, "timing.t_on", float) / sample_interval)))
+    return MafParams(_samples_in(_get(values, "timing.t_on", float), sample_interval))
 
 
 def resolve_kalman(values: dict[str, str]) -> KalmanParams | None:
@@ -152,7 +161,9 @@ def resolve_kalman(values: dict[str, str]) -> KalmanParams | None:
 
 
 def resolve_min_distance(values: dict[str, str], sample_interval: float) -> int:
-    return _get(values, "peak.min_distance", int, max(1, round(1.0 / sample_interval)))
+    if "peak.min_distance" in values:
+        return _get(values, "peak.min_distance", int)
+    return _samples_in(1.0, sample_interval)
 
 
 def resolve_tolerance(values: dict[str, str]) -> float:

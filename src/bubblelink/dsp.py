@@ -147,8 +147,8 @@ def detect_peaks(trace: SensorTrace, params: PeakDetectParams) -> PeakSet:
     already accepted peak is rejected.
     """
     x = trace.samples
-    candidates = peak_candidates(x, params.threshold)
-    order = sorted(candidates, key=lambda i: (-x[i], i))
+    candidates = np.array(peak_candidates(x, params.threshold), dtype=np.intp)
+    order = candidates[np.lexsort((candidates, -x[candidates]))].tolist()
     accepted: list[int] = []  # kept sorted, so only the two neighbours of i can be too close
     for i in order:
         k = bisect_left(accepted, i)

@@ -8,11 +8,12 @@ binary 0 leaves the frame idle. The receiver reads the frames back in order.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import ResourceLimitError, ValidationError
 from .signals import PeakSet
 
 Bits = list[int]
@@ -134,16 +135,17 @@ def decode(
     t_sym = timing.symbol_duration
     if not 0 < window <= t_sym / 2:
         raise ValidationError("window must be in (0, T_sym/2]")
-    times = peaks.times()
-    bits = []
-    for i in range(n_bits):
-        center = delay + i * t_sym + timing.t_on / 2
-        # the +-2*window range holds every peak the exact test below accepts
-        lo = bisect_left(times, center - 2 * window)
-        hi = bisect_right(times, center + 2 * window)
-        hit = any(abs(t - center) <= window for t in times[lo:hi])
-        bits.append(1 if hit else 0)
-    return bits
+    times = np.array(peaks.times(), dtype=float)
+    try:
+        centers = delay + np.arange(n_bits) * t_sym + timing.t_on / 2
+    except MemoryError:
+        raise ResourceLimitError(f"n_bits={n_bits} does not fit in memory") from None
+    # rounding is monotone, so of the peaks on one side of a centre the
+    # nearest has the smallest rounded distance; infinities stand in for none
+    sides = np.concatenate(([-np.inf], times, [np.inf]))
+    right = np.searchsorted(times, centers) + 1  # sides[right - 1] < center <= sides[right]
+    hit = (np.abs(sides[right - 1] - centers) <= window) | (np.abs(sides[right] - centers) <= window)
+    return hit.astype(int).tolist()
 
 
 def raw_bit_rate(timing: TimingParams) -> float:

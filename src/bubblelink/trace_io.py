@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import functools
+import io
 import math
 import os
 import sys
@@ -81,9 +82,11 @@ def _numeric_lines(fh: BinaryIO) -> int:
 
 
 def _is_header(line: bytes, header: list[str]) -> bool:
-    """Whether csv.reader reads ``line`` on its own as ``header``, such as a quoted header."""
+    """Whether csv.reader reads ``line`` on its own as the one row ``header``, such as a
+    quoted header; a header line that ends in CR CR LF is the header and a blank row."""
     with suppress(UnicodeDecodeError, csv.Error):  # strict: a quote left open is an error
-        return [cell.strip() for cell in next(csv.reader([line.decode()], strict=True))] == header
+        rows = list(csv.reader(io.StringIO(line.decode(), newline=""), strict=True))
+        return len(rows) == 1 and [cell.strip() for cell in rows[0]] == header
     return False
 
 

@@ -1,10 +1,10 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 These deliberately share no code with the library: plateau scanning,
-suppression, matching, the Kalman recursion and CSV reading are re-derived
-from their definitions so the library implementations are checked against
-a second, exhaustive path. ``peaks_at`` is the one exception: it builds
-library peak sets as test input.
+suppression, matching, the Kalman recursion, echo passes, spike draws and
+CSV reading are re-derived from their definitions so the library
+implementations are checked against a second, exhaustive path. ``peaks_at``
+is the one exception: it builds library peak sets as test input.
 """
 
 import csv
@@ -147,6 +147,46 @@ def brute_decode(peak_times, delay, t_on, t_sym, n_bits, window):
         int(any(abs(t - (delay + i * t_sym + t_on / 2)) <= window for t in peak_times))
         for i in range(n_bits)
     ]
+
+
+def brute_echo_passes(event, params):
+    """(centre, amplitude, sigma) of one event's passes, one pass at a time:
+    pass k has amplitude ``dose * pass_decay**k`` and the passes end before
+    the first below ``echo_cutoff * dose``, or after the first if
+    ``pass_decay`` is 0."""
+    start, duration, dose = event
+    velocity = (params.flow_rate * 1e-3 / 60.0) / (math.pi * params.tube_diameter**2 / 4.0)
+    passes = []
+    k = 0
+    while True:
+        amp = dose * params.pass_decay**k
+        if amp < params.echo_cutoff * dose:
+            return passes
+        center = start + duration / 2 + (params.distance_to_sensor + k * params.loop_length) / velocity
+        sigma = params.initial_spread + params.dispersion_coeff * math.sqrt(center - start)
+        passes.append((center, amp, sigma))
+        if params.pass_decay == 0:
+            return passes
+        k += 1
+
+
+def brute_spikes(clean, params):
+    """``clean`` with the spikes of a noise-free channel added one at a time,
+    then clipped at 0: a Poisson count (unit exponential gaps below
+    ``spike_rate * n * dt``), then per spike a bin draw and an amplitude
+    draw, all from the PCG64 stream of ``params.rng_seed``."""
+    rng = np.random.Generator(np.random.PCG64(params.rng_seed))
+    n = len(clean)
+    lam = params.spike_rate * n * params.sample_interval
+    count, arrival = 0, -math.log(1.0 - rng.random())
+    while arrival < lam:
+        count += 1
+        arrival += -math.log(1.0 - rng.random())
+    x = np.array(clean, dtype=float)
+    for _ in range(count):
+        b = min(int(rng.random() * n), n - 1)
+        x[b] += params.spike_amplitude_max * (1.0 - rng.random())
+    return np.maximum(x, 0.0)
 
 
 def full_axis_signal(passes, times):

@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from helpers import brute_echo_passes
 from bubblelink.channel import (
     ChannelParams,
     echo_passes,
+    echo_table,
     mean_flow_velocity,
     simulate,
     trace_span,
@@ -13,6 +15,7 @@ from bubblelink.channel import (
 from bubblelink.config import load_config
 from bubblelink.errors import ResourceLimitError, ValidationError
 from bubblelink.modem import InjectionEvent, InjectionSchedule, encode
+from bubblelink.trace_io import read_schedule
 
 
 def make_params(**overrides):
@@ -86,6 +89,23 @@ class TestEchoPasses:
     def test_no_decay_single_pass(self):
         passes = echo_passes(InjectionEvent(0.0, 0.3, 1.0), make_params(pass_decay=0.0))
         assert len(passes) == 1
+
+    def test_mixed_doses_from_a_schedule_file(self, tmp_path):
+        path = tmp_path / "schedule.csv"
+        path.write_text("start_s,duration_s,dose\n0,0.3,1\n5,0.3,0.02\n9,0.2,7.5\n12,0.3,3e-5\n")
+        schedule = read_schedule(path)
+        params = make_params(pass_decay=0.35, echo_cutoff=0.05)
+        expected = [brute_echo_passes(e, params) for e in schedule.events]
+        assert [echo_passes(e, params) for e in schedule.events] == expected
+        table = echo_table(schedule, params)
+        assert list(zip(*(column.tolist() for column in table))) == [p for e in expected for p in e]
+
+    def test_cutoff_above_one_keeps_no_pass(self):
+        params = make_params(echo_cutoff=1.5)
+        schedule = single_event_schedule(duration=0.3)
+        assert echo_passes(schedule.events[0], params) == []
+        assert trace_span(schedule, params) == schedule.total_span
+        assert np.all(simulate(schedule, params).samples == 0.0)
 
 
 class TestSimulate:

@@ -336,23 +336,37 @@ class TestExitCodes:
         ("encode --bits 0 --t-on 0.3 --t-off inf", "'timing.t_off': 'inf' is not finite"),
         ("decode --peaks {peaks} --t-on 1e308 --t-off 1e308 --delay 0 --n-bits 3",
          "symbol_duration must be finite"),
+        # 1 s and t_on are infinitely many samples of 1e-320 s
+        ("detect --in {tiny}", "sample interval 9.99989e-321 s is too small"),
+        ("filter --in {tiny} --method maf --set timing.t_on=0.3",
+         "sample interval 9.99989e-321 s is too small"),
     ], ids=["encode-t_off-below-t_on", "encode-dose-inf", "filter-window-0", "filter-no-window",
             "filter-q-without-r", "filter-r-without-q", "detect-min-distance-0",
             "detect-threshold-nan", "decode-delay-nan", "decode-delay-inf",
             "filter-kalman-q-nan", "filter-kalman-r-inf", "filter-kalman-x0-inf",
             "filter-x0-without-q-r", "decode-t_off-inf", "encode-t_off-inf",
-            "decode-symbol-duration-overflow"])
+            "decode-symbol-duration-overflow", "detect-tiny-sample-interval",
+            "filter-maf-tiny-sample-interval"])
     def test_invalid_argument_is_validation_error(self, tmp_path, capsys, argv, message):
         trace_f = tmp_path / "t.csv"
         write_trace(SensorTrace(0.04, 0.0, np.abs(np.sin(np.arange(100) / 5))), trace_f)
         peaks_f = tmp_path / "p.csv"
         peaks_f.write_text("time_s,amplitude\n0.3,1.0\n")
+        tiny_f = tmp_path / "tiny.csv"
+        tiny_f.write_text("time_s,amplitude\n0,1\n1e-320,2\n2e-320,1\n")
         out = tmp_path / "out.csv"
-        argv = [a.format(trace=trace_f, peaks=peaks_f) for a in argv.split()]
+        argv = [a.format(trace=trace_f, peaks=peaks_f, tiny=tiny_f) for a in argv.split()]
         rc = main([*argv, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_tiny_sample_interval_with_a_min_distance_detects(self, tmp_path):
+        tiny_f = tmp_path / "tiny.csv"
+        tiny_f.write_text("time_s,amplitude\n0,1\n1e-320,2\n2e-320,1\n")
+        out = tmp_path / "p.csv"
+        assert main(["detect", "--in", str(tiny_f), "--min-distance", "3", "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 2  # the header and the one peak
 
     def test_encode_requires_bits(self, tmp_path, capsys):
         rc = main(["encode", "--t-on", "0.3", "--t-off", "2.0", "--out", str(tmp_path / "s.csv")])
@@ -401,6 +415,16 @@ class TestExitCodes:
                    "--set", "channel.max_samples=1000000000000000000000", "--out-dir", str(out)])
         assert rc == 1
         assert "bits.length=1000000000000000 does not fit in memory" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bit_count_too_large_for_memory_is_refused(self, tmp_path, capsys):
+        peaks_f = tmp_path / "p.csv"
+        peaks_f.write_text("time_s,amplitude\n0.3,1.0\n")
+        out = tmp_path / "bits.txt"
+        rc = main(["decode", "--peaks", str(peaks_f), "--t-on", "0.3", "--t-off", "2.0",
+                   "--delay", "0", "--n-bits", "10000000000000", "--out", str(out)])
+        assert rc == 1
+        assert "n_bits=10000000000000 does not fit in memory" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, env_seed, message", [

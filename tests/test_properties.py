@@ -1,8 +1,12 @@
-"""Property tests: the windowed and bisect-based receive chain and the
-settled-gain Kalman filter against brute-force references in ``helpers``
-that check every sample or peak, the block-formatted CSV writer against
+"""Property tests: the echo table, the chunked clean signal, the one-draw
+spikes, the windowed and searchsorted receive chain and the settled-gain
+Kalman filter against brute-force references in ``helpers`` that check
+every pass, sample, spike or peak, the block-formatted CSV writer against
 per-row ``str.format`` text, and the CSV table reader against a
 row-by-row ``csv.reader`` reference."""
+
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,9 +15,11 @@ from hypothesis import strategies as st
 
 from helpers import (
     brute_decode,
+    brute_echo_passes,
     brute_greedy_detect,
     brute_greedy_match,
     brute_kalman,
+    brute_spikes,
     csv_reader_table,
     full_axis_signal,
     oracle_candidates,
@@ -21,7 +27,8 @@ from helpers import (
     per_row_csv,
     per_row_trace_csv,
 )
-from bubblelink.channel import ChannelParams, clean_signal, echo_passes
+from bubblelink import channel
+from bubblelink.channel import ChannelParams, clean_signal, echo_passes, echo_table, simulate
 from bubblelink.dsp import (
     KALMAN_BLOCK,
     KalmanParams,
@@ -69,6 +76,7 @@ def test_peak_candidates_match_oracle(x, threshold):
 
 @PROPERTY
 @given(levels, st.integers(0, 4), st.integers(1, 8))
+@example(np.array([0, 2, 0, 2, 0, 2, 0], dtype=float), 1, 3)  # tied amplitudes: the earlier wins
 def test_detect_peaks_matches_brute_greedy(x, threshold, min_distance):
     peaks = detect_peaks(SensorTrace(1.0, 0.0, x), PeakDetectParams(float(threshold), min_distance))
     expected = brute_greedy_detect(x, threshold, min_distance)
@@ -91,17 +99,22 @@ def test_match_peaks_matches_brute_greedy(data, step, tolerance):
 
 @PROPERTY
 @given(
-    st.data(),
     grid,
-    st.sampled_from([(0.3, 2.0), (0.2, 0.3), (0.1 + 0.2, 0.7)]),
+    st.sampled_from([(0.3, 2.0), (0.2, 0.3), (0.1 + 0.2, 0.7), (0.5, 1.5)]),
     st.sampled_from([0.05, 0.1, 0.25, 0.5, 1.0]),
     st.integers(0, 30),
+    st.integers(0, 20),
+    st.lists(st.integers(0, 80), unique=True, max_size=30).map(sorted),
 )
-def test_decode_matches_brute_any(data, step, on_off, window_fraction, n_bits):
+# T_sym 2 s, window 0.5 s: peaks exactly one window from the centres 0.25, 2.25 and 4.25 s
+@example(0.25, (0.5, 1.5), 0.5, 4, 0, [3, 7, 19])
+@example(0.25, (0.3, 2.0), 0.5, 5, 4, [])  # no peaks
+@example(0.1, (0.3, 2.0), 0.5, 0, 0, [1, 2])  # no bits
+def test_decode_matches_brute_any(step, on_off, window_fraction, n_bits, delay_steps, peak_steps):
     timing = TimingParams(*on_off)
     window = window_fraction * timing.symbol_duration / 2
-    delay = data.draw(st.integers(0, 20)) * step
-    times = data.draw(grid_times(step, 30))
+    delay = delay_steps * step
+    times = [k * step for k in peak_steps]
     got = decode(peaks_at(times), timing, delay, n_bits, window)
     assert got == brute_decode(times, delay, timing.t_on, timing.symbol_duration, n_bits, window)
 
@@ -126,21 +139,60 @@ def _channel(initial_spread, pass_decay, dispersion_coeff):
 
 @PROPERTY
 @given(
+    st.lists(st.floats(1e-3, 1e3), max_size=6),
+    st.sampled_from([0.0, 0.35, 0.5, 0.9]),
+    st.integers(0, 6),
+    st.sampled_from([-1, 0, 1]),
+)
+@example([1.0, 0.3, 6.0], 0.5, 2, 0)  # 0.5**2 == 0.25 exactly: pass 2 ties and is kept
+@example([1.0, 2.0], 0.0, 0, 0)  # no decay: one pass per event
+def test_echo_table_matches_per_event_passes(doses, pass_decay, k, nudge):
+    # the cutoff is pass_decay**k (1 without decay), where pass k ties with it, or the
+    # float either side; a dose can round the tie either way, so events stop apart
+    tie = pass_decay**k if pass_decay else 1.0
+    cutoff = float(np.nextafter(tie, nudge * np.inf)) if nudge else tie
+    params = replace(_channel(0.05, pass_decay, 0.05), echo_cutoff=cutoff)
+    events = tuple(InjectionEvent(i * 10.0, 0.3, dose) for i, dose in enumerate(doses))
+    expected = [brute_echo_passes(e, params) for e in events]
+    table = echo_table(InjectionSchedule(events, 0.0), params)
+    assert list(zip(*(column.tolist() for column in table))) == [p for e in expected for p in e]
+    assert [echo_passes(e, params) for e in events] == expected
+
+
+@PROPERTY
+@given(
     st.integers(1, 200),
     st.lists(st.integers(-40, 60), unique=True, max_size=6),
     st.floats(-6.0, 2.5),
     st.sampled_from([0.0, 0.5]),
     st.sampled_from([0.0, 0.05]),
+    st.sampled_from([1, 7, 64, channel._CHUNK_CELLS]),
 )
-def test_clean_signal_matches_full_axis_sum(n, start_steps, spread_exp, pass_decay, dispersion):
+def test_clean_signal_matches_full_axis_sum(n, start_steps, spread_exp, pass_decay, dispersion,
+                                            chunk_cells):
     # centres fall before 0 and past the last sample (n * 0.04 s <= 8 s);
-    # sigma runs from 1 us to ~300 s, far wider than the trace
+    # sigma runs from 1 us to ~300 s, far wider than the trace; small chunks
+    # split the passes over many chunks
     params = _channel(10.0**spread_exp, pass_decay, dispersion)
     events = tuple(InjectionEvent(k * 0.3, 0.2, 1.0 + k % 3) for k in sorted(start_steps))
     schedule = InjectionSchedule(events, 0.0)
     times = (np.arange(n) + 0.5) * params.sample_interval
-    passes = [p for e in schedule.events for p in echo_passes(e, params)]
-    assert np.array_equal(clean_signal(schedule, params, times), full_axis_signal(passes, times))
+    passes = [p for e in schedule.events for p in brute_echo_passes(e, params)]
+    with mock.patch.object(channel, "_CHUNK_CELLS", chunk_cells):
+        x = clean_signal(schedule, params, times)
+    assert np.array_equal(x, full_axis_signal(passes, times))
+
+
+@PROPERTY
+@given(st.integers(0, 2**32), st.sampled_from([0.5, 5.0, 50.0]), st.integers(0, 4))
+def test_simulate_spikes_match_per_spike_loop(seed, rate, n_events):
+    # at 50 spikes/s most bins of the ~10 s trace are hit more than once
+    quiet = replace(_channel(0.05, 0.5, 0.05), rng_seed=seed)
+    spiky = replace(quiet, spike_rate=rate, spike_amplitude_max=1.2)
+    events = tuple(InjectionEvent(k * 2.3, 0.3, 1.0) for k in range(n_events))
+    schedule = InjectionSchedule(events, 2.3 * n_events)
+    expected = brute_spikes(simulate(schedule, quiet).samples, spiky)
+    assert np.array_equal(simulate(schedule, spiky).samples, expected)
 
 
 def test_clean_signal_keeps_terms_just_inside_radius():
@@ -336,6 +388,7 @@ def csv_texts(draw):
 @example((TRACE_HEADER, 'time_s,amplitude\n0, 1\n 0.04 ,\t2\n'))  # padding both strip
 @example((TRACE_HEADER, 'time_s,amplitude\n0, "1"\n'))  # a quote after a space is a literal
 @example((TRACE_HEADER, "time_s,amplitude\n0,1\n \n"))  # a line of padding
+@example((TRACE_HEADER, "time_s,amplitude\r\r\n0.0,0.0\n"))  # csv.reader: the header, then a blank row
 def test_read_table_matches_csv_reader(tmp_path_factory, header_text):
     header, text = header_text
     path = tmp_path_factory.getbasetemp() / "table.csv"
