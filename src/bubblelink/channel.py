@@ -78,19 +78,25 @@ def echo_table(
 
     Pass k of an event has amplitude ``dose * pass_decay**k``. An event's passes
     end before the first whose amplitude is below ``echo_cutoff * dose``, or
-    after the first if ``pass_decay`` is 0.
+    after the first if ``pass_decay`` is 0. A kept pass centred past the
+    ``max_samples`` cap raises ResourceLimitError before the table is built:
+    its trace would be refused anyway, and the table grows with its passes.
     """
     v = mean_flow_velocity(params.flow_rate, params.tube_diameter)
     start, duration, dose = np.array(schedule.events, dtype=float).reshape(-1, 3).T
     floor = params.echo_cutoff * dose
+    mid = start + duration / 2
     decay = [1.0]  # pass_decay**k, one more k while some event is still above its floor
-    while params.pass_decay > 0 and decay[-1] > 0 and (dose * decay[-1] >= floor).any():
+    while params.pass_decay > 0 and decay[-1] > 0 and (keep := dose * decay[-1] >= floor).any():
+        k = len(decay) - 1  # pass k is kept, so its latest centre must fit under the cap
+        latest = float(mid[keep].max()) + (params.distance_to_sensor + k * params.loop_length) / v
+        sample_count(latest, params)  # raises as simulate's count of the longer span would
         decay.append(params.pass_decay ** len(decay))
     amp = dose[:, None] * np.array(decay)
     kept = np.logical_and.accumulate(amp >= floor[:, None], axis=1)  # until the first drop
     event, k = np.nonzero(kept)
     transit = (params.distance_to_sensor + k * params.loop_length) / v
-    center = start[event] + duration[event] / 2 + transit
+    center = mid[event] + transit
     sigma = params.initial_spread + params.dispersion_coeff * np.sqrt(center - start[event])
     return center, amp[kept], sigma
 
@@ -195,6 +201,10 @@ def simulate(schedule: InjectionSchedule, params: ChannelParams) -> SensorTrace:
     """
     dt = params.sample_interval
     n = sample_count(trace_span(schedule, params), params)
+    spikes = params.spike_rate * n * dt  # the mean count; each spike costs about 1 us to draw
+    if spikes > params.max_samples:
+        raise ResourceLimitError(f"channel.spike_rate={params.spike_rate:g} would draw about {spikes:g}"
+                                 f" spikes, over the channel.max_samples cap of {params.max_samples}")
     clock = SensorTrace(sample_interval=dt, t0=0.0, samples=np.zeros(n))
     x = clean_signal(schedule, params, clock.bin_centers())
 
@@ -202,7 +212,7 @@ def simulate(schedule: InjectionSchedule, params: ChannelParams) -> SensorTrace:
     if params.noise_std > 0:
         x = x + params.noise_std * _gaussian_deviates(rng, n)
     if params.spike_rate > 0:
-        n_spikes = _poisson_count(rng, params.spike_rate * n * dt)
+        n_spikes = _poisson_count(rng, spikes)
         u = rng.random(2 * n_spikes)  # per spike: its bin, then its amplitude
         bins = np.minimum((u[0::2] * n).astype(np.int64), n - 1)
         np.add.at(x, bins, params.spike_amplitude_max * (1.0 - u[1::2]))  # in (0, max]

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import io
 import math
 import os
 import sys
@@ -63,9 +62,9 @@ def open_text(path: str | os.PathLike, newline: str | None = None) -> Iterator[T
 
 
 # The bytes a table body may hold to be read by np.loadtxt: no letter to
-# spell inf or nan, and no whitespace but the space and tab, which it and
-# float both strip around a number.
-_NUMERIC = b'0123456789+-.eE,"\r\n \t'
+# spell inf or nan, no quote, and no whitespace but the space and tab, which
+# it and float both strip around a number.
+_NUMERIC = b"0123456789+-.eE,\r\n \t"
 
 
 def _numeric_lines(fh: BinaryIO) -> int:
@@ -81,36 +80,26 @@ def _numeric_lines(fh: BinaryIO) -> int:
     return 0 if blank else lines + (end != b"\n")
 
 
-def _is_header(line: bytes, header: list[str]) -> bool:
-    """Whether csv.reader reads ``line`` on its own as the one row ``header``, such as a
-    quoted header; a header line that ends in CR CR LF is the header and a blank row."""
-    with suppress(UnicodeDecodeError, csv.Error):  # strict: a quote left open is an error
-        rows = list(csv.reader(io.StringIO(line.decode(), newline=""), strict=True))
-        return len(rows) == 1 and [cell.strip() for cell in rows[0]] == header
-    return False
-
-
 def _read_table(path: str | os.PathLike, header: list[str]) -> np.ndarray:
     """Read a numeric CSV with the given header row into a (rows, columns) array.
 
     Every cell must hold a finite number; an error names the file, the row
     (the header is row 1) and, for a bad cell, the column. np.loadtxt reads a
-    file whose first line is the header, its exact bytes or else a line that
-    ``_is_header``, and whose body ``_numeric_lines`` counts; its table is kept
-    if it has a row per body line (np.loadtxt skips blank lines and joins
-    quoted line ends), ``len(header)`` columns and only finite numbers. Any
-    other file is read and checked row by row with csv.reader.
+    file whose first line is the header's exact bytes and whose body
+    ``_numeric_lines`` counts; its table is kept if it has a row per body line
+    (np.loadtxt skips blank lines), ``len(header)`` columns and only finite
+    numbers. Any other file, such as one with quotes, is read and checked row
+    by row with csv.reader.
     """
     head = ",".join(header).encode()
     with open(path, "rb") as fh:
         first = fh.readline()
-        if first in (head + b"\n", head + b"\r\n") or _is_header(first, header):
+        if first in (head + b"\n", head + b"\r\n"):
             start = fh.tell()
             if lines := _numeric_lines(fh):
                 fh.seek(start)
                 with suppress(ValueError):
-                    table = np.loadtxt(fh, delimiter=",", comments=None, quotechar='"',
-                                       ndmin=2, encoding="utf-8")
+                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
                     if table.shape == (lines, len(header)) and np.isfinite(table).all():
                         return table
     with open_text(path, newline="") as fh:

@@ -201,6 +201,12 @@ class TestSimulate:
         with pytest.raises(ResourceLimitError):
             simulate(single_event_schedule(start=100.0), params)
 
+    def test_echo_table_stops_at_the_sample_cap(self):
+        # 0.999**k keeps about 3,000 passes 6.9 s apart; 1,000 samples end at 40 s
+        params = make_params(pass_decay=0.999, max_samples=1000)
+        with pytest.raises(ResourceLimitError, match="channel.max_samples cap of 1000$"):
+            echo_table(single_event_schedule(), params)
+
     @pytest.mark.parametrize("length", [0, 10, 57])
     def test_config_cap_refuses_only_what_simulate_refuses(self, length):
         def load(cap):

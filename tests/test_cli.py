@@ -409,6 +409,21 @@ class TestExitCodes:
         assert "channel.max_samples cap of 1000" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        # 0.999**k keeps about 3,000 passes 6.9 s apart; 10,000 samples end at 400 s
+        ("channel.pass_decay=0.999", "channel.max_samples cap of 10000"),
+        # 100/s over 6,052 samples of 0.04 s is a mean of 24,208 spikes
+        ("channel.spike_rate=100",
+         "channel.spike_rate=100 would draw about 24208 spikes, over the channel.max_samples cap"),
+    ], ids=["echo-passes", "spikes"])
+    def test_channel_work_over_the_sample_cap_is_refused(self, tmp_path, capsys, setting, message):
+        out = tmp_path / "out"
+        rc = main(["pipeline", "--preset", "paper-like", "--set", setting,
+                   "--set", "channel.max_samples=10000", "--out-dir", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_payload_too_large_for_memory_is_refused(self, tmp_path, capsys):
         out = tmp_path / "out"
         rc = main(["pipeline", "--preset", "paper-like", "--set", "bits.length=1000000000000000",
