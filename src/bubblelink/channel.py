@@ -81,6 +81,7 @@ def echo_table(
     after the first if ``pass_decay`` is 0. A kept pass centred past the
     ``max_samples`` cap raises ResourceLimitError before the table is built:
     its trace would be refused anyway, and the table grows with its passes.
+    ``simulate`` builds it once per trace; its span and ``clean_signal`` both read it.
     """
     v = mean_flow_velocity(params.flow_rate, params.tube_diameter)
     start, duration, dose = np.array(schedule.events, dtype=float).reshape(-1, 3).T
@@ -140,16 +141,16 @@ _ECHO_RADIUS = 39.0
 _CHUNK_CELLS = 1 << 14
 
 
-def clean_signal(schedule: InjectionSchedule, params: ChannelParams, times: np.ndarray) -> np.ndarray:
-    """Noise-free superposition of all echo passes evaluated at ascending ``times``.
+def clean_signal(table: tuple[np.ndarray, np.ndarray, np.ndarray], times: np.ndarray) -> np.ndarray:
+    """Noise-free sum of the (centre, amplitude, sigma) passes of ``table`` at ascending ``times``.
 
     Each pass is added only within ``_ECHO_RADIUS`` sigmas of its centre;
     outside that every term is exactly 0.0, so the sum is the full-axis sum.
     The windows of a chunk of passes are laid end to end and evaluated at
     once, and ``np.add.at`` adds them in order, so every sample sums its
-    terms in (event, pass) order.
+    terms in table order.
     """
-    center, amp, sigma = echo_table(schedule, params)
+    center, amp, sigma = table
     # each sigma**2 by Python's pow, not sigma * sigma: the two can differ in the last bit
     neg_var = np.array([-2.0 * s**2 for s in sigma.tolist()])
     lo = np.searchsorted(times, center - _ECHO_RADIUS * sigma, side="left")
@@ -174,16 +175,6 @@ def clean_signal(schedule: InjectionSchedule, params: ChannelParams, times: np.n
     return x
 
 
-def trace_span(schedule: InjectionSchedule, params: ChannelParams) -> float:
-    """Simulated span: schedule span extended past the last retained echo.
-
-    Centre and sigma never decrease from one pass of an event to the next, so
-    the largest centre + 4 sigma of the table is that of some event's last pass.
-    """
-    center, _, sigma = echo_table(schedule, params)
-    return float(np.max(center + 4.0 * sigma, initial=schedule.total_span))
-
-
 def sample_count(span: float, params: ChannelParams) -> int:
     """Samples covering ``span``, at least one; capped before rounding, so inf is refused."""
     bins = span / params.sample_interval - 1e-9
@@ -200,13 +191,17 @@ def simulate(schedule: InjectionSchedule, params: ChannelParams) -> SensorTrace:
     bit-identical trace.
     """
     dt = params.sample_interval
-    n = sample_count(trace_span(schedule, params), params)
+    table = echo_table(schedule, params)
+    center, _, sigma = table
+    # the span reaches past the last retained echo; centre and sigma never decrease from
+    # one pass of an event to the next, so the maximum is at some event's last pass
+    n = sample_count(float(np.max(center + 4.0 * sigma, initial=schedule.total_span)), params)
     spikes = params.spike_rate * n * dt  # the mean count; each spike costs about 1 us to draw
     if spikes > params.max_samples:
         raise ResourceLimitError(f"channel.spike_rate={params.spike_rate:g} would draw about {spikes:g}"
                                  f" spikes, over the channel.max_samples cap of {params.max_samples}")
     clock = SensorTrace(sample_interval=dt, t0=0.0, samples=np.zeros(n))
-    x = clean_signal(schedule, params, clock.bin_centers())
+    x = clean_signal(table, clock.bin_centers())
 
     rng = np.random.Generator(np.random.PCG64(params.rng_seed))
     if params.noise_std > 0:

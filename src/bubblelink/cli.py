@@ -139,8 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("encode", help="bits -> injection schedule CSV")
-    p.add_argument("--bits", help="bit string, e.g. 10110; default: the config's bits, preamble included")
-    p.add_argument("--bits-file", help="file holding the bit string")
+    given = p.add_mutually_exclusive_group()
+    given.add_argument("--bits", help="bit string, e.g. 10110; default: the config's bits, preamble included")
+    given.add_argument("--bits-file", help="file holding the bit string")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_encode)
 

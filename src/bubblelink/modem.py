@@ -159,17 +159,20 @@ def time_overhead(timing: TimingParams) -> float:
 
 
 def uniform_avg_bit_duration(timing: TimingParams) -> float:
-    """Expected bit duration (t_on + t_off)/2 under equiprobable bits."""
+    """The paper's closed-form mean bit duration (t_on + t_off)/2 for equiprobable bits of
+    unequal length; this modem sends every bit in one T_sym (see ``raw_bit_rate``)."""
     return (timing.t_on + timing.t_off) / 2.0
 
 
 def effective_bit_rate(timing: TimingParams) -> float:
-    """Effective rate 1/T_avg under equiprobable bits, in bit/s."""
+    """The paper's closed-form rate 1/T_avg in bit/s for equiprobable bits of unequal length;
+    this modem sends at ``raw_bit_rate`` (0.43 bit/s at the preset, not this 0.87)."""
     return 1.0 / uniform_avg_bit_duration(timing)
 
 
 def duty_efficiency(timing: TimingParams) -> float:
-    """Fraction of the average bit duration spent actively injecting."""
+    """The paper's closed-form share t_on/T_avg of a bit spent injecting, for equiprobable
+    bits of unequal length; this modem's bits each last one T_sym."""
     return timing.t_on / uniform_avg_bit_duration(timing)
 
 

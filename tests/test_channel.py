@@ -1,16 +1,18 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from helpers import brute_echo_passes
+from bubblelink import channel
 from bubblelink.channel import (
     ChannelParams,
     echo_passes,
     echo_table,
     mean_flow_velocity,
+    sample_count,
     simulate,
-    trace_span,
 )
 from bubblelink.config import load_config
 from bubblelink.errors import ResourceLimitError, ValidationError
@@ -104,8 +106,9 @@ class TestEchoPasses:
         params = make_params(echo_cutoff=1.5)
         schedule = single_event_schedule(duration=0.3)
         assert echo_passes(schedule.events[0], params) == []
-        assert trace_span(schedule, params) == schedule.total_span
-        assert np.all(simulate(schedule, params).samples == 0.0)
+        trace = simulate(schedule, params)
+        assert len(trace) == sample_count(schedule.total_span, params)
+        assert np.all(trace.samples == 0.0)
 
 
 class TestSimulate:
@@ -127,9 +130,13 @@ class TestSimulate:
         sched = single_event_schedule()
         passes = echo_passes(sched.events[0], params)
         center, _, sigma = passes[-1]
-        assert trace_span(sched, params) >= center + 4 * sigma
         trace = simulate(sched, params)
         assert len(trace) * params.sample_interval >= center + 4 * sigma - params.sample_interval
+
+    def test_builds_the_echo_table_once(self):
+        with mock.patch.object(channel, "echo_table", wraps=channel.echo_table) as table:
+            simulate(single_event_schedule(), make_params())
+        assert table.call_count == 1
 
     def test_determinism(self):
         params = make_params(noise_std=0.1, spike_rate=0.5, spike_amplitude_max=1.0, rng_seed=99)

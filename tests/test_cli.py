@@ -374,6 +374,15 @@ class TestExitCodes:
         assert "config: provide bits.value or bits.length" in capsys.readouterr().err
         assert not (tmp_path / "s.csv").exists()
 
+    def test_encode_refuses_bits_with_bits_file(self, tmp_path, capsys):
+        bits_f = tmp_path / "bits.txt"
+        bits_f.write_text("1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", "--bits", "101", "--bits-file", str(bits_f), "--out", str(tmp_path / "s.csv")])
+        assert exc.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+        assert not (tmp_path / "s.csv").exists()
+
     @pytest.mark.parametrize("setting", [
         "peak.threshold.raw=abc", "channel.echo_cutoff=inf", "dose=nan", "peak.treshold=9",
         "timing.mode=framed", "peak.threshold=0.5", "maf.window=1.5", "channel.max_samples=2.5",

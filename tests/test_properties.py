@@ -28,7 +28,7 @@ from helpers import (
     per_row_trace_csv,
 )
 from bubblelink import channel
-from bubblelink.channel import ChannelParams, clean_signal, echo_passes, echo_table, simulate
+from bubblelink.channel import ChannelParams, clean_signal, echo_passes, echo_table, sample_count, simulate
 from bubblelink.dsp import (
     KALMAN_BLOCK,
     KalmanParams,
@@ -154,9 +154,12 @@ def test_echo_table_matches_per_event_passes(doses, pass_decay, k, nudge):
     params = replace(_channel(0.05, pass_decay, 0.05), echo_cutoff=cutoff)
     events = tuple(InjectionEvent(i * 10.0, 0.3, dose) for i, dose in enumerate(doses))
     expected = [brute_echo_passes(e, params) for e in events]
-    table = echo_table(InjectionSchedule(events, 0.0), params)
+    schedule = InjectionSchedule(events, 0.0)
+    table = echo_table(schedule, params)
     assert list(zip(*(column.tolist() for column in table))) == [p for e in expected for p in e]
     assert [echo_passes(e, params) for e in events] == expected
+    span = max([schedule.total_span] + [c + 4.0 * s for e in expected for c, _, s in e])
+    assert len(simulate(schedule, params)) == sample_count(span, params)
 
 
 @PROPERTY
@@ -178,8 +181,9 @@ def test_clean_signal_matches_full_axis_sum(n, start_steps, spread_exp, pass_dec
     schedule = InjectionSchedule(events, 0.0)
     times = (np.arange(n) + 0.5) * params.sample_interval
     passes = [p for e in schedule.events for p in brute_echo_passes(e, params)]
+    table = tuple(np.array(passes).reshape(-1, 3).T)
     with mock.patch.object(channel, "_CHUNK_CELLS", chunk_cells):
-        x = clean_signal(schedule, params, times)
+        x = clean_signal(table, times)
     assert np.array_equal(x, full_axis_signal(passes, times))
 
 
@@ -201,7 +205,7 @@ def test_clean_signal_keeps_terms_just_inside_radius():
     ((center, _, sigma),) = echo_passes(schedule.events[0], params)
     offsets = np.array([-40.0, -38.5, -38.0, 0.0, 38.0, 38.5, 40.0])
     times = center + offsets * sigma
-    x = clean_signal(schedule, params, times)
+    x = clean_signal(echo_table(schedule, params), times)
     assert np.array_equal(x, full_axis_signal([(center, 1.0, sigma)], times))
     assert np.all(x[1:-1] > 0)  # at 38.5 sigma the term is a subnormal, not 0.0
 
