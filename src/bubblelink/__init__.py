@@ -35,7 +35,7 @@ from .modem import (
     time_overhead,
     uniform_avg_bit_duration,
 )
-from .pipeline import run_pipeline
+from .pipeline import RunResult, run_experiment, run_pipeline, write_run
 from .signals import Peak, PeakSet, SensorTrace
 
 __version__ = "0.1.0"

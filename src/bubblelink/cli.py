@@ -7,6 +7,7 @@ and resource errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import config as cfgmod
@@ -99,6 +100,8 @@ def cmd_evaluate(args) -> int:
     tolerance = cfgmod.resolve_tolerance(_values(args))
     peaks = trace_io.read_peaks(args.peaks)
     truth = trace_io.read_schedule(args.truth)
+    if not math.isfinite(args.truth_shift):
+        raise ValidationError(f"--truth-shift must be finite, got {args.truth_shift!r}")
     if args.truth_shift:
         truth = truth.shifted(args.truth_shift)
     match = metrics.match_peaks(peaks, truth, tolerance)

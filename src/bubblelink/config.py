@@ -24,6 +24,7 @@ from importlib import resources
 
 import numpy as np
 
+from . import dsp
 from .channel import ChannelParams, sample_count
 from .dsp import KalmanParams, MafParams
 from .errors import ResourceLimitError, ValidationError
@@ -34,7 +35,11 @@ SEED_ENV_VAR = "BUBBLELINK_SEED"
 
 PRESETS = {"paper-like": "paper_like.cfg"}
 
-BRANCHES = ("raw", "maf", "kalman")
+# each detection branch's filter (trace, cfg) -> trace, in output order; a filter looks its dsp
+# function up when called, so a wrapper set on the dsp module is seen
+BRANCHES = {"raw": lambda trace, cfg: trace,
+            "maf": lambda trace, cfg: dsp.moving_average(trace, cfg.maf),
+            "kalman": lambda trace, cfg: dsp.kalman_filter(trace, cfg.kalman)}
 
 # each section's keys are its params dataclass's fields: "<section>.<field>"
 SECTIONS = {"timing": TimingParams, "channel": ChannelParams, "maf": MafParams,

@@ -78,11 +78,11 @@ class InjectionSchedule:
         return len(self.events)
 
     def shifted(self, offset: float) -> "InjectionSchedule":
-        """Schedule with every event start moved by ``offset`` seconds."""
+        """Schedule with every event start moved by ``offset`` seconds; the span stays >= 0."""
         events = tuple(
             InjectionEvent(e.start + offset, e.duration, e.dose) for e in self.events
         )
-        return InjectionSchedule(events, self.total_span + offset)
+        return InjectionSchedule(events, max(0.0, self.total_span + offset))
 
 
 def validate_bits(bits: Sequence[int]) -> Bits:

@@ -1,9 +1,9 @@
 """End-to-end experiment runner: encode, simulate, filter, detect, evaluate.
 
-One simulation feeds three detection branches (raw trace, moving-average
-filtered, Kalman filtered); each branch is peak-detected, aligned with the
-ground-truth schedule, scored, and decoded. All outputs are plain CSV/text
-files, reproducible byte for byte from the configuration.
+One simulation feeds each detection branch of ``config.BRANCHES``, which is
+filtered, peak-detected, aligned with the ground-truth schedule, scored and
+decoded by ``run_experiment`` without touching disk. ``write_run`` writes the
+plain CSV/text tree, reproducible byte for byte from the configuration.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from .signals import PeakSet, SensorTrace
 
 @dataclass(frozen=True)
 class BranchResult:
-    name: str
     trace: SensorTrace
     peaks: PeakSet
     match: MatchResult
@@ -32,18 +31,17 @@ class BranchResult:
     warning: str | None
 
 
-def _filter_branch(name: str, trace: SensorTrace, cfg: ExperimentConfig) -> SensorTrace:
-    if name == "raw":
-        return trace
-    if name == "maf":
-        return dsp.moving_average(trace, cfg.maf)
-    return dsp.kalman_filter(trace, cfg.kalman)
+@dataclass(frozen=True)
+class RunResult:
+    bits: Bits
+    schedule: InjectionSchedule
+    branches: dict[str, BranchResult]  # in BRANCHES order
 
 
 def _run_branch(
     name: str, trace: SensorTrace, truth: InjectionSchedule, transit: float, cfg: ExperimentConfig
 ) -> BranchResult:
-    filtered = _filter_branch(name, trace, cfg)
+    filtered = BRANCHES[name](trace, cfg)
     threshold = cfg.peak_thresholds.get(name)
     if threshold is None:
         threshold = dsp.default_threshold(filtered)
@@ -65,16 +63,12 @@ def _run_branch(
         delay = transit
         warning = "no peaks detected; preamble delay estimation failed, using model transit time"
     decoded = decode(peaks, cfg.timing, delay, len(cfg.bits), cfg.decode_window)
-    return BranchResult(name, filtered, peaks, match, report, decoded, delay, threshold, warning)
+    return BranchResult(filtered, peaks, match, report, decoded, delay, threshold, warning)
 
 
-def run_pipeline(cfg: ExperimentConfig, out_dir: str | os.PathLike) -> dict[str, BranchResult]:
-    """Compute every branch, then write the whole output tree to ``out_dir``.
-
-    A run that fails validation raises before any file or directory is made.
-    """
-    bits = cfg.bits
-    schedule = encode(bits, cfg.timing, cfg.dose)
+def run_experiment(cfg: ExperimentConfig) -> RunResult:
+    """Encode, simulate and compute every branch; no file or directory is made."""
+    schedule = encode(cfg.bits, cfg.timing, cfg.dose)
     trace = simulate(schedule, cfg.channel)
 
     # Bolus transit time from injection point to sensor; detected peaks lag the
@@ -82,35 +76,37 @@ def run_pipeline(cfg: ExperimentConfig, out_dir: str | os.PathLike) -> dict[str,
     velocity = mean_flow_velocity(cfg.channel.flow_rate, cfg.channel.tube_diameter)
     transit = cfg.channel.distance_to_sensor / velocity
     truth = schedule.shifted(transit)
-
-    results = {name: _run_branch(name, trace, truth, transit, cfg) for name in BRANCHES}
-    _write_tree(str(out_dir), bits, schedule, results)
-    return results
+    return RunResult(cfg.bits, schedule, {name: _run_branch(name, trace, truth, transit, cfg)
+                                      for name in BRANCHES})
 
 
-def _write_tree(
-    out_dir: str, bits: Bits, schedule: InjectionSchedule, results: dict[str, BranchResult]
-) -> None:
+def run_pipeline(cfg: ExperimentConfig, out_dir: str | os.PathLike) -> dict[str, BranchResult]:
+    """Compute every branch, then write the tree; a run that fails validation makes no file."""
+    result = run_experiment(cfg)
+    write_run(result, out_dir)
+    return result.branches
+
+
+def write_run(result: RunResult, out_dir: str | os.PathLike) -> None:
+    """Write the output tree of one run to ``out_dir``, making the directory if needed."""
     os.makedirs(out_dir, exist_ok=True)
-    trace_io.write_bits(bits, os.path.join(out_dir, "bits_sent.txt"))
-    trace_io.write_schedule(schedule, os.path.join(out_dir, "schedule.csv"))
-    trace_io.write_traces(
-        {os.path.join(out_dir, f"{name}_trace.csv"): res.trace for name, res in results.items()}
-    )
-    for name, res in results.items():
+    trace_io.write_bits(result.bits, os.path.join(out_dir, "bits_sent.txt"))
+    trace_io.write_schedule(result.schedule, os.path.join(out_dir, "schedule.csv"))
+    trace_io.write_traces({os.path.join(out_dir, f"{name}_trace.csv"): res.trace
+                           for name, res in result.branches.items()})
+    for name, res in result.branches.items():
         trace_io.write_peaks(res.peaks, os.path.join(out_dir, f"{name}_peaks.csv"))
         trace_io.write_bits(res.decoded, os.path.join(out_dir, f"{name}_bits.txt"))
         m = res.match
         extra = [
-            ("bits_sent", len(bits)),
+            ("bits_sent", len(result.bits)),
             # secondary variant over all transmitted bits, not just 1-bits
-            ("ber_over_bits_sent", (m.fp + m.fn) / len(bits)),
+            ("ber_over_bits_sent", (m.fp + m.fn) / len(result.bits)),
             ("threshold", res.threshold),
             ("decode_delay", res.decode_delay),
             ("warning", res.warning or ""),
         ]
         with open(os.path.join(out_dir, f"{name}_report.csv"), "w", encoding="utf-8", newline="") as fh:
             trace_io.write_report(fh, m, res.report, extra)
-    trace_io.write_comparison(
-        {name: res.report for name, res in results.items()}, os.path.join(out_dir, "comparison.csv")
-    )
+    trace_io.write_comparison({name: res.report for name, res in result.branches.items()},
+                              os.path.join(out_dir, "comparison.csv"))

@@ -361,6 +361,30 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def evaluate_shifted(self, tmp_path, shift):
+        """Score a one-peak file against the 5-bit schedule of 10110, shifted by ``shift``."""
+        schedule_f, peaks_f, out = tmp_path / "s.csv", tmp_path / "p.csv", tmp_path / "r.csv"
+        assert main(["encode", "--bits", "10110", "--t-on", "0.3", "--t-off", "2.0",
+                     "--out", str(schedule_f)]) == 0
+        peaks_f.write_text("time_s,amplitude\n0.3,1.0\n")
+        rc = main(["evaluate", "--peaks", str(peaks_f), "--truth", str(schedule_f),
+                   "--truth-shift", shift, "--out", str(out)])
+        return rc, out
+
+    def test_truth_shift_past_the_span_scores(self, tmp_path):
+        # the last event ends at 7.2 s, so the shifted span would be negative; it clamps at 0
+        rc, out = self.evaluate_shifted(tmp_path, "-20")
+        assert rc == 0
+        report = read_report(out)
+        assert (report["tp"], report["fn"]) == ("0", "3")
+
+    @pytest.mark.parametrize("shift", ["nan", "inf"])
+    def test_non_finite_truth_shift_names_the_flag(self, tmp_path, capsys, shift):
+        rc, out = self.evaluate_shifted(tmp_path, shift)
+        assert rc == 2
+        assert "--truth-shift must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_tiny_sample_interval_with_a_min_distance_detects(self, tmp_path):
         tiny_f = tmp_path / "tiny.csv"
         tiny_f.write_text("time_s,amplitude\n0,1\n1e-320,2\n2e-320,1\n")
