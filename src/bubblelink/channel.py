@@ -84,7 +84,7 @@ def echo_table(
     ``simulate`` builds it once per trace; its span and ``clean_signal`` both read it.
     """
     v = mean_flow_velocity(params.flow_rate, params.tube_diameter)
-    start, duration, dose = np.array(schedule.events, dtype=float).reshape(-1, 3).T
+    start, duration, dose = schedule.table.T
     floor = params.echo_cutoff * dose
     mid = start + duration / 2
     decay = [1.0]  # pass_decay**k, one more k while some event is still above its floor

@@ -80,7 +80,9 @@ def cmd_filter(args) -> int:
 def cmd_detect(args) -> int:
     values = _values(args)
     trace = trace_io.read_trace(args.infile)
-    threshold = args.threshold if args.threshold is not None else dsp.default_threshold(trace)
+    threshold = args.threshold
+    if threshold is None:
+        threshold = cfgmod.detect_threshold(cfgmod.resolve_thresholds(values), args.branch, trace)
     min_distance = cfgmod.resolve_min_distance(values, trace.sample_interval)
     peaks = dsp.detect_peaks(trace, dsp.PeakDetectParams(threshold, min_distance))
     trace_io.write_peaks(peaks, args.out)
@@ -161,7 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="trace CSV -> peaks CSV")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--threshold", type=float, help="default: half the 95th percentile")
+    p.add_argument("--threshold", type=float,
+                   help="default: the branch's peak.threshold, else half the 95th percentile")
+    p.add_argument("--branch", choices=list(cfgmod.BRANCHES),
+                   help="the branch the trace was filtered for, whose peak.threshold applies")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_detect)
 
@@ -202,9 +207,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_numbers(argv: list[str]) -> list[str]:
+    """``argv`` with each ``--flag`` followed by a number joined into ``--flag=number``.
+
+    argparse takes a token such as ``-1e1`` or ``-inf``, which is no plain
+    negative number to it, for an option; in the joined form it is the value.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and token.startswith("-"):
+            try:
+                float(token)
+            except ValueError:
+                pass
+            else:
+                out[-1] += "=" + token
+                continue
+        out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_numbers(sys.argv[1:] if argv is None else list(argv)))
     try:
         return args.func(args)
     except ValidationError as exc:

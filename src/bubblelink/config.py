@@ -29,6 +29,7 @@ from .channel import ChannelParams, sample_count
 from .dsp import KalmanParams, MafParams
 from .errors import ResourceLimitError, ValidationError
 from .modem import Bits, TimingParams, parse_bits
+from .signals import SensorTrace
 from .trace_io import open_text
 
 SEED_ENV_VAR = "BUBBLELINK_SEED"
@@ -184,6 +185,19 @@ def resolve_decode_window(values: dict[str, str]) -> float:
     return min(resolve_tolerance(values), section(values, "timing").symbol_duration / 2)
 
 
+def resolve_thresholds(values: dict[str, str]) -> dict[str, float | None]:
+    """Each branch's ``peak.threshold.<branch>``, or None where it is not set."""
+    return {b: _get(values, f"peak.threshold.{b}", float, None) for b in BRANCHES}
+
+
+def detect_threshold(thresholds: dict[str, float | None], branch: str | None,
+                     trace: SensorTrace) -> float:
+    """The peak threshold of ``branch``: its entry in ``thresholds``, else, or with no
+    branch, half the 95th amplitude percentile of the trace filtered for it."""
+    threshold = thresholds.get(branch)
+    return dsp.default_threshold(trace) if threshold is None else threshold
+
+
 def resolve_dose(values: dict[str, str]) -> float:
     return _get(values, "dose", float, 1.0)
 
@@ -211,7 +225,7 @@ def build_config(values: dict[str, str]) -> ExperimentConfig:
         maf=resolve_maf(values, channel.sample_interval),
         kalman=resolve_kalman(values),
         peak_min_distance=resolve_min_distance(values, channel.sample_interval),
-        peak_thresholds={b: _get(values, f"peak.threshold.{b}", float, None) for b in BRANCHES},
+        peak_thresholds=resolve_thresholds(values),
         tolerance=resolve_tolerance(values),
         decode_window=resolve_decode_window(values),
         dose=resolve_dose(values),

@@ -156,4 +156,5 @@ def detect_peaks(trace: SensorTrace, params: PeakDetectParams) -> PeakSet:
             k == len(accepted) or accepted[k] - i >= params.min_distance
         ):
             accepted.insert(k, i)
-    return PeakSet(tuple(zip(trace.bin_centers()[accepted].tolist(), x[accepted].tolist())))
+    keep = np.array(accepted, dtype=np.intp)
+    return PeakSet(np.stack([trace.bin_centers(keep), x[keep]], axis=1))

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import UndefinedMetricError, ValidationError
 from .modem import InjectionSchedule
@@ -38,23 +39,24 @@ def match_peaks(detected: PeakSet, truth: InjectionSchedule, tolerance: float) -
     """
     if not tolerance > 0:
         raise ValidationError("tolerance must be positive")
-    truth_times = [e.start + e.duration / 2 for e in truth.events]
-    det_times = detected.times()
+    mids = truth.table[:, 0] + truth.table[:, 1] / 2
+    detections = detected.table[:, 0]
+    # the +-2*tolerance range holds every detection the exact test below accepts
+    los = np.searchsorted(detections, mids - 2 * tolerance, side="left").tolist()
+    his = np.searchsorted(detections, mids + 2 * tolerance, side="right").tolist()
+    truth_times, det_times = mids.tolist(), detections.tolist()
     matched = [False] * len(det_times)
     pairs = []
-    for tt in truth_times:
+    for tt, lo, hi in zip(truth_times, los, his):
         best = None
         best_key = None
-        # the +-2*tolerance range holds every detection the exact test below accepts
-        lo = bisect_left(det_times, tt - 2 * tolerance)
-        hi = bisect_right(det_times, tt + 2 * tolerance)
-        for j, dt_ in enumerate(det_times[lo:hi], lo):
+        for j in range(lo, hi):
             if matched[j]:
                 continue
-            dist = abs(dt_ - tt)
+            dist = abs(det_times[j] - tt)
             if dist > tolerance:
                 continue
-            key = (dist, dt_)
+            key = (dist, det_times[j])
             if best_key is None or key < best_key:
                 best, best_key = j, key
         if best is not None:

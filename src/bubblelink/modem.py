@@ -8,13 +8,13 @@ binary 0 leaves the frame idle. The receiver reads the frames back in order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ResourceLimitError, ValidationError
-from .signals import PeakSet
+from .signals import PeakSet, float_table, named_rows
 
 Bits = list[int]
 
@@ -51,47 +51,66 @@ class InjectionEvent(NamedTuple):
 
 @dataclass(frozen=True)
 class InjectionSchedule:
-    """Transmitter-side list of timed, non-overlapping bolus injections."""
+    """Transmitter-side list of timed, non-overlapping bolus injections.
+
+    ``events`` may be given as (start, duration, dose) triples or as an (n, 3)
+    array; it is kept as a tuple of InjectionEvent, and ``table`` holds the same
+    (n, 3) floats.
+    """
 
     events: tuple[InjectionEvent, ...]
     total_span: float
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        events = tuple(InjectionEvent(*map(float, e)) for e in self.events)
-        for ev in events:
-            if not all(map(math.isfinite, ev)):
-                raise ValidationError("event start, duration and dose must be finite")
-            if not ev.dose > 0:
-                raise ValidationError("event dose must be positive")
-            if not ev.duration > 0:
-                raise ValidationError("event duration must be positive")
-        for prev, cur in zip(events, events[1:]):
-            if not cur.start > prev.start:
-                raise ValidationError("events must be sorted strictly ascending by start")
-            if prev.start + prev.duration > cur.start + 1e-12:
-                raise ValidationError("events must not overlap")
+        table = float_table(self.events, 3)
+        start, duration, dose = table.T
+        # each event's checks in this order, then each neighbour pair's: the first failure raises
+        _raise_first(
+            [~np.isfinite(table).all(axis=1), ~(dose > 0), ~(duration > 0)],
+            ["event start, duration and dose must be finite", "event dose must be positive",
+             "event duration must be positive"],
+        )
+        _raise_first(
+            [~(start[1:] > start[:-1]), start[:-1] + duration[:-1] > start[1:] + 1e-12],
+            ["events must be sorted strictly ascending by start", "events must not overlap"],
+        )
         if self.total_span < 0:
             raise ValidationError("total_span must be non-negative")
-        object.__setattr__(self, "events", events)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "events", named_rows(InjectionEvent, table))
 
     def __len__(self) -> int:
         return len(self.events)
 
     def shifted(self, offset: float) -> "InjectionSchedule":
         """Schedule with every event start moved by ``offset`` seconds; the span stays >= 0."""
-        events = tuple(
-            InjectionEvent(e.start + offset, e.duration, e.dose) for e in self.events
-        )
-        return InjectionSchedule(events, max(0.0, self.total_span + offset))
+        table = self.table.copy()
+        table[:, 0] += offset
+        return InjectionSchedule(table, max(0.0, self.total_span + offset))
+
+
+def _raise_first(failures: Sequence[np.ndarray], messages: Sequence[str]) -> None:
+    """Raise a ValidationError for the first element that fails a check, with the
+    message of the first check it fails; ``failures[k]`` marks who fail check k."""
+    failed = np.array(failures, dtype=bool)
+    first = np.flatnonzero(failed.any(axis=0))
+    if first.size:
+        raise ValidationError(messages[failed[:, first[0]].argmax()])
+
+
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")  # the characters "0" and "1" as bytes 0 and 1
 
 
 def validate_bits(bits: Sequence[int]) -> Bits:
-    out = []
-    for i, b in enumerate(bits):
-        if b not in (0, 1):
-            raise ValidationError(f"bit {i} is {b!r}; bits must be 0 or 1")
-        out.append(int(b))
-    return out
+    """``bits`` as a list of the ints 0 and 1; an element equal to neither raises,
+    naming the first such element and its index."""
+    items = np.fromiter(bits, dtype=object)  # the elements themselves, compared with ==
+    one = items == 1
+    bad = np.flatnonzero(~(one | (items == 0)))
+    if bad.size:
+        raise ValidationError(f"bit {bad[0]} is {items[bad[0]]!r}; bits must be 0 or 1")
+    return one.astype(int).tolist()
 
 
 def parse_bits(text: str, source: str) -> Bits:
@@ -99,7 +118,7 @@ def parse_bits(text: str, source: str) -> Bits:
     bad = set(text) - {"0", "1"}
     if bad:
         raise ValidationError(f"{source}: invalid bit characters {sorted(bad)!r}")
-    return [int(c) for c in text]
+    return list(text.encode().translate(_BIT_VALUES))
 
 
 def encode(bits: Sequence[int], timing: TimingParams, dose: float = 1.0) -> InjectionSchedule:
@@ -112,8 +131,9 @@ def encode(bits: Sequence[int], timing: TimingParams, dose: float = 1.0) -> Inje
     if not dose > 0:
         raise ValidationError("dose must be positive")
     t_sym = timing.symbol_duration
-    events = tuple(InjectionEvent(i * t_sym, timing.t_on, dose) for i, b in enumerate(bits) if b)
-    return InjectionSchedule(events, len(bits) * t_sym)
+    starts = np.flatnonzero(bits) * t_sym
+    table = np.stack([starts, np.full_like(starts, timing.t_on), np.full_like(starts, dose)], axis=1)
+    return InjectionSchedule(table, len(bits) * t_sym)
 
 
 def decode(
@@ -135,7 +155,7 @@ def decode(
     t_sym = timing.symbol_duration
     if not 0 < window <= t_sym / 2:
         raise ValidationError("window must be in (0, T_sym/2]")
-    times = np.array(peaks.times(), dtype=float)
+    times = peaks.table[:, 0]
     try:
         centers = delay + np.arange(n_bits) * t_sym + timing.t_on / 2
     except MemoryError:

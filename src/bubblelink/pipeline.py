@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import dsp, metrics, trace_io
 from .channel import mean_flow_velocity, simulate
-from .config import BRANCHES, ExperimentConfig
+from .config import BRANCHES, ExperimentConfig, detect_threshold
 from .metrics import MatchResult, MetricsReport
 from .modem import Bits, InjectionSchedule, decode, encode
 from .signals import PeakSet, SensorTrace
@@ -42,9 +42,7 @@ def _run_branch(
     name: str, trace: SensorTrace, truth: InjectionSchedule, transit: float, cfg: ExperimentConfig
 ) -> BranchResult:
     filtered = BRANCHES[name](trace, cfg)
-    threshold = cfg.peak_thresholds.get(name)
-    if threshold is None:
-        threshold = dsp.default_threshold(filtered)
+    threshold = detect_threshold(cfg.peak_thresholds, name, filtered)
     detect_params = dsp.PeakDetectParams(threshold=threshold, min_distance=cfg.peak_min_distance)
     peaks = dsp.detect_peaks(filtered, detect_params)
 

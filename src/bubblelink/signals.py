@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,9 +40,10 @@ class SensorTrace:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def bin_centers(self) -> np.ndarray:
-        """Times of the sample bin centers, in seconds."""
-        return self.t0 + (np.arange(len(self.samples)) + 0.5) * self.sample_interval
+    def bin_centers(self, index: np.ndarray | None = None) -> np.ndarray:
+        """Times of the sample bin centers, in seconds; with ``index``, of those samples only."""
+        n = np.arange(len(self.samples)) if index is None else index
+        return self.t0 + (n + 0.5) * self.sample_interval
 
     def bin_starts(self) -> np.ndarray:
         """Times of the sample bin starts, in seconds."""
@@ -52,6 +54,20 @@ class SensorTrace:
         return SensorTrace(self.sample_interval, self.t0, samples)
 
 
+def float_table(rows: Sequence, columns: int) -> np.ndarray:
+    """``rows``, a sequence of ``columns``-tuples or an array, as a new read-only
+    (rows, columns) float array; a row of another width raises ValueError."""
+    table = np.array(rows, dtype=float).reshape(len(rows), columns)
+    table.setflags(write=False)
+    return table
+
+
+def named_rows(cls: type, table: np.ndarray) -> tuple:
+    """The rows of ``table`` as ``cls`` named tuples of floats. tuple.__new__
+    makes each in C, where ``cls(*row)`` would run Python code per row."""
+    return tuple(map(tuple.__new__, repeat(cls), zip(*table.T.tolist())))
+
+
 class Peak(NamedTuple):
     time: float
     amplitude: float
@@ -59,19 +75,24 @@ class Peak(NamedTuple):
 
 @dataclass(frozen=True)
 class PeakSet:
-    """Detected "high"-signal events, sorted by time."""
+    """Detected "high"-signal events, sorted by time.
+
+    ``peaks`` may be given as (time, amplitude) pairs or as an (n, 2) array; it
+    is kept as a tuple of Peak, and ``table`` holds the same (n, 2) floats.
+    """
 
     peaks: tuple[Peak, ...]
+    table: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        peaks = tuple(Peak(float(t), float(a)) for t, a in self.peaks)
-        for prev, cur in zip(peaks, peaks[1:]):
-            if not cur.time > prev.time:
-                raise ValidationError("peak times must be strictly ascending")
-        object.__setattr__(self, "peaks", peaks)
+        table = float_table(self.peaks, 2)
+        if not (table[1:, 0] > table[:-1, 0]).all():
+            raise ValidationError("peak times must be strictly ascending")
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "peaks", named_rows(Peak, table))
 
     def __len__(self) -> int:
         return len(self.peaks)
 
     def times(self) -> list[float]:
-        return [p.time for p in self.peaks]
+        return self.table[:, 0].tolist()

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FormatError, ValidationError
 from .metrics import MatchResult, MetricsReport
-from .modem import Bits, InjectionEvent, InjectionSchedule, parse_bits, validate_bits
+from .modem import Bits, InjectionSchedule, parse_bits, validate_bits
 from .signals import PeakSet, SensorTrace
 
 SPACING_TOLERANCE = 1e-6  # s, absorbs float printing jitter
@@ -45,6 +45,8 @@ _SCALE_E0 = 324
 _SCALE = np.zeros(_SCALE_E0 + 309)
 _SCALE[_SCALE_E0 - 4 : _SCALE_E0 + 9] = 10 ** np.arange(12, -1, -1)  # exact as doubles
 
+_BIT_TEXT = bytes.maketrans(b"\0\1", b"01")  # bytes 0 and 1 as the characters "0" and "1"
+
 TRACE_HEADER = ["time_s", "amplitude"]
 SCHEDULE_HEADER = ["start_s", "duration_s", "dose"]
 PEAKS_HEADER = ["time_s", "amplitude"]
@@ -61,21 +63,31 @@ def open_text(path: str | os.PathLike, newline: str | None = None) -> Iterator[T
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-# The bytes a table body may hold to be read by np.loadtxt: no letter to
-# spell inf or nan, no quote, and no whitespace but the space and tab, which
-# it and float both strip around a number.
-_NUMERIC = b"0123456789+-.eE,\r\n \t"
+# The bytes of a cell np.loadtxt may read: digits, sign, point and exponent, the
+# separator, and the space and tab, which it and float both strip around a
+# number. No letter to spell inf or nan, and no quote.
+_CELL = b"0123456789+-.eE, \t"
+# The suffixes for which np.loadtxt, given a path, reads through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
 def _numeric_lines(fh: BinaryIO) -> int:
-    """The number of lines left in ``fh``, or 0 if they are all blank or hold a
-    byte not in ``_NUMERIC``. The file is read in chunks, never held whole."""
+    """The number of lines left in ``fh``, or 0 if they are all blank, hold a byte
+    that is neither in ``_CELL`` nor a line end, or hold a CR that does not start
+    a CRLF: np.loadtxt reads a path with universal newlines, so a line would end
+    there that the count of LFs misses. The file is read in chunks, never held
+    whole, and a chunk never ends inside a CRLF."""
     lines, blank, end = 0, True, b"\n"
     for chunk in iter(functools.partial(fh.read, 1 << 16), b""):
-        if chunk.translate(None, _NUMERIC):
+        if chunk.endswith(b"\r"):
+            chunk += fh.read(1)
+        ends = chunk.translate(None, _CELL)  # only CR and LF, if the chunk is numeric
+        if ends.translate(None, b"\r\n") or (
+            b"\r" in ends and ends.count(b"\r") != chunk.count(b"\r\n")
+        ):
             return 0
-        lines += chunk.count(b"\n")
-        blank = blank and not chunk.lstrip(b"\r\n")
+        lines += ends.count(b"\n")
+        blank = blank and len(ends) == len(chunk)
         end = chunk[-1:]
     return 0 if blank else lines + (end != b"\n")
 
@@ -88,20 +100,22 @@ def _read_table(path: str | os.PathLike, header: list[str]) -> np.ndarray:
     file whose first line is the header's exact bytes and whose body
     ``_numeric_lines`` counts; its table is kept if it has a row per body line
     (np.loadtxt skips blank lines), ``len(header)`` columns and only finite
-    numbers. Any other file, such as one with quotes, is read and checked row
-    by row with csv.reader.
+    numbers. It is given the absolute path, so that its C reader takes the file
+    in blocks, not line by line, and a path that parses as a URL is never
+    downloaded. Any other file, such as one with quotes or one whose suffix
+    np.loadtxt would decompress, is read and checked row by row with csv.reader.
     """
     head = ",".join(header).encode()
-    with open(path, "rb") as fh:
-        first = fh.readline()
-        if first in (head + b"\n", head + b"\r\n"):
-            start = fh.tell()
-            if lines := _numeric_lines(fh):
-                fh.seek(start)
-                with suppress(ValueError):
-                    table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2, encoding="utf-8")
-                    if table.shape == (lines, len(header)) and np.isfinite(table).all():
-                        return table
+    name = os.path.abspath(os.fsdecode(path))
+    if os.path.splitext(name)[1] not in _COMPRESSED:
+        with open(path, "rb") as fh:
+            lines = fh.readline() in (head + b"\n", head + b"\r\n") and _numeric_lines(fh)
+        if lines:
+            with suppress(ValueError):
+                table = np.loadtxt(name, delimiter=",", comments=None, skiprows=1, ndmin=2,
+                                   encoding="utf-8")
+                if table.shape == (lines, len(header)) and np.isfinite(table).all():
+                    return table
     with open_text(path, newline="") as fh:
         rows, cells, i = csv.reader(fh), [], 0  # i: the rows read so far
         try:
@@ -320,9 +334,9 @@ def write_trace(trace: SensorTrace, path: str | os.PathLike) -> None:
 
 
 def read_schedule(path: str | os.PathLike) -> InjectionSchedule:
-    events = tuple(InjectionEvent(*row) for row in _read_table(path, SCHEDULE_HEADER).tolist())
-    span = events[-1].start + events[-1].duration if events else 0.0
-    return _build(path, InjectionSchedule, events, span)
+    table = _read_table(path, SCHEDULE_HEADER)
+    span = float(table[-1, 0] + table[-1, 1]) if len(table) else 0.0
+    return _build(path, InjectionSchedule, table, span)
 
 
 def write_schedule(schedule: InjectionSchedule, path: str | os.PathLike) -> None:
@@ -330,7 +344,7 @@ def write_schedule(schedule: InjectionSchedule, path: str | os.PathLike) -> None
 
 
 def read_peaks(path: str | os.PathLike) -> PeakSet:
-    return _build(path, PeakSet, _read_table(path, PEAKS_HEADER).tolist())
+    return _build(path, PeakSet, _read_table(path, PEAKS_HEADER))
 
 
 def write_peaks(peaks: PeakSet, path: str | os.PathLike) -> None:
@@ -354,9 +368,10 @@ def read_bits(path: str | os.PathLike) -> Bits:
 
 
 def write_bits(bits: Sequence[int], path: str | os.PathLike) -> None:
-    bits = validate_bits(bits)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("".join(str(b) for b in bits) + "\n")
+    """Write ``bits``, checked by ``validate_bits``, as one line of 0/1 characters."""
+    text = bytes(validate_bits(bits)).translate(_BIT_TEXT)
+    with open(path, "wb") as fh:
+        fh.write(text + b"\n")
 
 
 def write_report(

@@ -3,18 +3,22 @@
 These deliberately share no code with the library: plateau scanning,
 suppression, matching, the Kalman recursion, echo passes, spike draws and
 CSV reading are re-derived from their definitions so the library
-implementations are checked against a second, exhaustive path. ``peaks_at``
-is the one exception: it builds library peak sets as test input.
+implementations are checked against a second, exhaustive path. The
+``loop_*`` oracles check bit strings, schedules and peak sets, and match
+peaks, one element at a time: the references for the library's bulk numpy
+checks. ``peaks_at`` is the one exception: it builds library peak sets as
+test input.
 """
 
 import csv
 import io
 import math
+from bisect import bisect_left, bisect_right
 from itertools import groupby
 
 import numpy as np
 
-from bubblelink.errors import FormatError
+from bubblelink.errors import FormatError, ValidationError
 from bubblelink.signals import Peak, PeakSet
 
 
@@ -235,3 +239,91 @@ def csv_reader_table(text, header, path):
                 raise FormatError(f"{path}: row {i}, column {column!r}: {value!r} is not finite")
             table.append(number)
     return np.array(table, dtype=float).reshape(len(rows) - 1, len(header))
+
+
+def loop_validate_bits(bits):
+    """``bits`` as a list of ints, checked one at a time: the first element equal
+    to neither 0 nor 1 raises, naming its index and repr."""
+    out = []
+    for i, b in enumerate(bits):
+        if b not in (0, 1):
+            raise ValidationError(f"bit {i} is {b!r}; bits must be 0 or 1")
+        out.append(int(b))
+    return out
+
+
+def loop_parse_bits(text, source):
+    """The bits of a 0/1 string, one character at a time; errors name ``source``."""
+    bad = set(text) - {"0", "1"}
+    if bad:
+        raise ValidationError(f"{source}: invalid bit characters {sorted(bad)!r}")
+    return [int(c) for c in text]
+
+
+def loop_bit_line(bits):
+    """The text of a bit file: each checked bit's character, then LF."""
+    return "".join(str(b) for b in loop_validate_bits(bits)) + "\n"
+
+
+def loop_encode_events(bits, t_on, t_sym, dose):
+    """(start, duration, dose) of each 1-bit's injection, one bit at a time."""
+    return [(i * t_sym, float(t_on), float(dose)) for i, b in enumerate(loop_validate_bits(bits)) if b]
+
+
+def loop_schedule_events(events, total_span):
+    """A schedule's (start, duration, dose) float triples, checked one event and
+    then one neighbour pair at a time; the first failed check raises."""
+    events = [tuple(map(float, e)) for e in events]
+    for start, duration, dose in events:
+        if not all(map(math.isfinite, (start, duration, dose))):
+            raise ValidationError("event start, duration and dose must be finite")
+        if not dose > 0:
+            raise ValidationError("event dose must be positive")
+        if not duration > 0:
+            raise ValidationError("event duration must be positive")
+    for (p_start, p_duration, _), (c_start, _, _) in zip(events, events[1:]):
+        if not c_start > p_start:
+            raise ValidationError("events must be sorted strictly ascending by start")
+        if p_start + p_duration > c_start + 1e-12:
+            raise ValidationError("events must not overlap")
+    if total_span < 0:
+        raise ValidationError("total_span must be non-negative")
+    return events
+
+
+def loop_peaks(pairs):
+    """A peak set's (time, amplitude) float pairs, checked one neighbour pair at a time."""
+    peaks = [(float(t), float(a)) for t, a in pairs]
+    for prev, cur in zip(peaks, peaks[1:]):
+        if not cur[0] > prev[0]:
+            raise ValidationError("peak times must be strictly ascending")
+    return peaks
+
+
+def loop_match(truth_events, det_times, tolerance):
+    """(tp, fp, fn, pairs) of greedy matching, one truth midpoint at a time, each
+    searching the detections in its +-2*tolerance range found by bisection."""
+    if not tolerance > 0:
+        raise ValidationError("tolerance must be positive")
+    truth_times = [start + duration / 2 for start, duration, _ in truth_events]
+    matched = [False] * len(det_times)
+    pairs = []
+    for tt in truth_times:
+        best = None
+        best_key = None
+        lo = bisect_left(det_times, tt - 2 * tolerance)
+        hi = bisect_right(det_times, tt + 2 * tolerance)
+        for j, dt_ in enumerate(det_times[lo:hi], lo):
+            if matched[j]:
+                continue
+            dist = abs(dt_ - tt)
+            if dist > tolerance:
+                continue
+            key = (dist, dt_)
+            if best_key is None or key < best_key:
+                best, best_key = j, key
+        if best is not None:
+            matched[best] = True
+            pairs.append((tt, det_times[best]))
+    tp = len(pairs)
+    return tp, len(det_times) - tp, len(truth_times) - tp, tuple(pairs)

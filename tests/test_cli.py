@@ -226,6 +226,14 @@ class TestPipeline:
             for key in ("tp", "fp", "fn", "precision", "recall", "f1", "ber", "bsr"):
                 assert staged_report[key] == pipeline_report[key], (branch, key)
 
+    @pytest.mark.parametrize("branch", BRANCHES)
+    def test_staged_detect_takes_the_branch_threshold(self, tmp_path, branch):
+        out = self.run(tmp_path, "run")
+        peaks_f = tmp_path / f"{branch}_peaks.csv"
+        assert main(["detect", "--preset", "paper-like", "--branch", branch,
+                     "--in", str(out / f"{branch}_trace.csv"), "--out", str(peaks_f)]) == 0
+        assert peaks_f.read_bytes() == (out / peaks_f.name).read_bytes()
+
     @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: read_schedule ends the span at the "
                        "last event, so simulate drops the trailing 0-bits")
     def test_staged_simulate_spans_every_bit(self, tmp_path):
@@ -326,6 +334,8 @@ class TestExitCodes:
          "delay must be finite"),
         ("decode --peaks {peaks} --t-on 0.3 --t-off 2.0 --delay inf --n-bits 4",
          "delay must be finite"),
+        ("decode --peaks {peaks} --t-on 0.3 --t-off 2.0 --delay -1e-3 --n-bits 4",
+         "delay must be finite and non-negative"),
         ("filter --in {trace} --method kalman --q nan --r 1", "'kalman.q': 'nan' is not finite"),
         ("filter --in {trace} --method kalman --q 1 --r inf", "'kalman.r': 'inf' is not finite"),
         ("filter --in {trace} --method kalman --q 1 --r 1 --x0 inf",
@@ -343,6 +353,7 @@ class TestExitCodes:
     ], ids=["encode-t_off-below-t_on", "encode-dose-inf", "filter-window-0", "filter-no-window",
             "filter-q-without-r", "filter-r-without-q", "detect-min-distance-0",
             "detect-threshold-nan", "decode-delay-nan", "decode-delay-inf",
+            "decode-delay-negative-exponent",
             "filter-kalman-q-nan", "filter-kalman-r-inf", "filter-kalman-x0-inf",
             "filter-x0-without-q-r", "decode-t_off-inf", "encode-t_off-inf",
             "decode-symbol-duration-overflow", "detect-tiny-sample-interval",
@@ -378,12 +389,29 @@ class TestExitCodes:
         report = read_report(out)
         assert (report["tp"], report["fn"]) == ("0", "3")
 
-    @pytest.mark.parametrize("shift", ["nan", "inf"])
+    @pytest.mark.parametrize("shift", ["nan", "inf", "-inf"])
     def test_non_finite_truth_shift_names_the_flag(self, tmp_path, capsys, shift):
         rc, out = self.evaluate_shifted(tmp_path, shift)
         assert rc == 2
         assert "--truth-shift must be finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_negative_exponent_form_truth_shift_is_a_value(self, tmp_path):
+        # argparse alone takes -1e1 for an option: "expected one argument"
+        rc, out = self.evaluate_shifted(tmp_path, "-1e1")
+        assert rc == 0
+        assert read_report(out)["fn"] == "3"
+
+    @pytest.mark.parametrize("argv", [
+        "filter --in {trace} --method kalman --q 1 --r 1 --x0 -1e-3",
+        "detect --in {trace} --threshold -1E1",
+        "detect --in {trace} --threshold=-1e1",
+    ])
+    def test_negative_exponent_form_values_are_values(self, tmp_path, argv):
+        trace_f, out = tmp_path / "t.csv", tmp_path / "out.csv"
+        write_trace(SensorTrace(0.04, 0.0, np.abs(np.sin(np.arange(100) / 5))), trace_f)
+        assert main([*argv.format(trace=trace_f).split(), "--out", str(out)]) == 0
+        assert out.exists()
 
     def test_tiny_sample_interval_with_a_min_distance_detects(self, tmp_path):
         tiny_f = tmp_path / "tiny.csv"

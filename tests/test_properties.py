@@ -2,9 +2,13 @@
 spikes, the windowed and searchsorted receive chain and the settled-gain
 Kalman filter against brute-force references in ``helpers`` that check
 every pass, sample, spike or peak, the block-formatted CSV writer against
-per-row ``str.format`` text, and the CSV table reader against a
-row-by-row ``csv.reader`` reference."""
+per-row ``str.format`` text, the CSV table reader against a row-by-row
+``csv.reader`` reference, and the bulk bit, schedule, peak-set and match
+checks against the per-element ``loop_*`` references."""
 
+import csv
+import os
+import urllib.request
 from dataclasses import replace
 from unittest import mock
 
@@ -22,6 +26,13 @@ from helpers import (
     brute_spikes,
     csv_reader_table,
     full_axis_signal,
+    loop_bit_line,
+    loop_encode_events,
+    loop_match,
+    loop_parse_bits,
+    loop_peaks,
+    loop_schedule_events,
+    loop_validate_bits,
     oracle_candidates,
     peaks_at,
     per_row_csv,
@@ -39,13 +50,23 @@ from bubblelink.dsp import (
 )
 from bubblelink.errors import FormatError, ValidationError
 from bubblelink.metrics import MetricsReport, match_peaks
-from bubblelink.modem import InjectionEvent, InjectionSchedule, TimingParams, decode
+from bubblelink.modem import (
+    InjectionEvent,
+    InjectionSchedule,
+    TimingParams,
+    decode,
+    encode,
+    parse_bits,
+    validate_bits,
+)
 from bubblelink.signals import Peak, PeakSet, SensorTrace
 from bubblelink.trace_io import (
     BLOCK_ROWS,
     SCHEDULE_HEADER,
     TRACE_HEADER,
     _read_table,
+    read_bits,
+    write_bits,
     write_comparison,
     write_peaks,
     write_schedule,
@@ -377,7 +398,9 @@ def csv_texts(draw):
     return header, text if draw(rarely) else text + draw(ends)
 
 
-@settings(deadline=None, max_examples=400)
+# CI raises the count, since on each numpy version it tests this is what checks
+# np.loadtxt's path route against csv.reader
+@settings(deadline=None, max_examples=int(os.environ.get("READ_TABLE_EXAMPLES", "400")))
 @given(csv_texts())
 @example((TRACE_HEADER, "time_s,amplitude\n0,1\n\r0.04,2\n"))  # a lone CR makes a blank row
 @example((TRACE_HEADER, "time_s,amplitude\r\n0,1\r\n0.04,2\r\n"))
@@ -405,3 +428,158 @@ def test_read_table_matches_csv_reader(tmp_path_factory, header_text):
         assert str(got.value) == str(exc)
     else:
         assert np.array_equal(_read_table(path, header), expected)
+
+
+def _long_table(newline, boundary_end):
+    """A trace table whose body passes 64 KiB, the reader's chunk, with the body's
+    byte 65,535, the last of the first chunk, the first byte of ``boundary_end``."""
+    body = ""
+    while len(body) < (1 << 16) - 100:
+        body += f"{len(body) * 1e-3:.6f},1.5{newline}"
+    pad = (1 << 16) - 1 - len(body) - len("0,") - len("2")  # zeros that put the end there
+    body += "0," + "0" * pad + "2" + boundary_end + "0.5,3" + newline
+    return "time_s,amplitude" + newline + body
+
+
+@pytest.mark.parametrize("name, text, loop", [
+    *[(f"table{suffix}", "time_s,amplitude\n0,1\n0.04,2\n", True)
+      for suffix in (".gz", ".bz2", ".xz", ".lzma")],
+    ("http://localhost/table.csv", "time_s,amplitude\n0,1\n0.04,2\n", False),
+    ("table.csv", "time_s,amplitude\n0,1\r0.04,2\n", True),
+    ("table.csv", "time_s,amplitude\n0,1\r\r\n0.04,2\n", True),
+    ("table.csv", _long_table("\r\n", "\r\n"), False),
+    ("table.csv", _long_table("\n", "\r"), True),
+    ("table.csv", _long_table("\n", "\n"), False),
+], ids=["gz", "bz2", "xz", "lzma", "under-http-dir", "lone-cr", "cr-cr-lf",
+        "crlf-split-by-chunk", "lone-cr-ending-chunk", "over-64k"])
+def test_read_table_edges_match_csv_reader(tmp_path, monkeypatch, name, text, loop):
+    """A suffix np.loadtxt would decompress, or a body holding a lone CR, takes the
+    csv.reader loop; a path that parses as a URL reads as the local file it is."""
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / name
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(text.encode())
+
+    def no_download(*args, **kwargs):
+        raise AssertionError("the reader tried to download a file")
+
+    monkeypatch.setattr(urllib.request, "urlopen", no_download)
+    try:
+        expected = csv_reader_table(text, TRACE_HEADER, name)
+    except FormatError as exc:
+        expected = exc
+    if not loop:
+        monkeypatch.setattr(csv, "reader", None)
+    if isinstance(expected, FormatError):
+        with pytest.raises(FormatError) as got:
+            _read_table(name, TRACE_HEADER)
+        assert str(got.value) == str(expected)
+    else:
+        assert np.array_equal(_read_table(name, TRACE_HEADER), expected)
+
+
+def same_outcome(bulk, loop, *args):
+    """``bulk(*args)`` returns what ``loop(*args)`` does, by repr, so that NaN and -0.0
+    count, or raises the same type and text."""
+    try:
+        expected = loop(*args)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as got:
+            bulk(*args)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return None
+    got = bulk(*args)
+    assert repr(got) == repr(expected)
+    return got
+
+
+bit_values = st.sampled_from([0, 1]) | st.sampled_from(
+    [0.0, 1.0, True, False, 2, -1, 0.5, float("nan"), "1", None, np.int64(1), np.int64(3)])
+# each container the library is handed bits in; a numpy array holds one dtype
+bit_inputs = st.one_of(
+    st.lists(st.sampled_from([0, 1]), max_size=40),
+    st.lists(bit_values, max_size=40),
+    st.lists(bit_values, max_size=40).map(tuple),
+    st.lists(st.integers(-1, 2), max_size=40).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=40).map(lambda v: np.array(v, dtype=bool)),
+    st.lists(st.sampled_from([0.0, 1.0, 0.5]), max_size=40).map(lambda v: np.array(v)),
+)
+
+
+@PROPERTY
+@given(bit_inputs)
+@example([1, 0, 2, 3])  # the first bad bit is named
+@example(np.array([0, 1, 7]))  # by its numpy repr
+@example(np.array([True, False]))
+@example((0.0, 1.0, 1.0))
+@example([1, "1"])  # equal to 1 as a float, not as an element
+def test_bit_checks_match_per_bit_loops(tmp_path_factory, bits):
+    checked = same_outcome(validate_bits, loop_validate_bits, bits)
+    if checked is not None:
+        assert all(type(b) is int for b in checked)
+    path = tmp_path_factory.getbasetemp() / "bits.txt"
+    same_outcome(lambda b: (write_bits(b, path), path.read_text())[1], loop_bit_line, bits)
+    timing = TimingParams(0.3, 2.0)
+    same_outcome(lambda b: [tuple(e) for e in encode(b, timing, 1.5).events],
+                 lambda b: loop_encode_events(b, 0.3, timing.symbol_duration, 1.5), bits)
+
+
+@PROPERTY
+@given(st.text(st.sampled_from("0101012 x\u00e9"), max_size=30))
+def test_parse_bits_matches_per_character_loop(tmp_path_factory, text):
+    same_outcome(parse_bits, loop_parse_bits, text, "src")
+    path = tmp_path_factory.getbasetemp() / "bits.txt"
+    path.write_text(text, encoding="utf-8")
+    if set(text) <= {"0", "1"}:
+        assert read_bits(path) == loop_parse_bits(text, "src")
+
+
+# starts and durations on a coarse grid tie and touch; a few values fail each check
+event_numbers = st.sampled_from(
+    [0.0, 0.3, 0.5, 1.0, 1.5, 0.1 + 0.2, -1.0, float("inf"), float("nan")])
+events = st.lists(st.tuples(event_numbers, event_numbers, event_numbers), max_size=8)
+
+
+@PROPERTY
+@given(events, st.sampled_from([0.0, 3.0, -1.0]), st.sampled_from([0.0, 0.25, -2.0]))
+@example([(0.0, 1.0, 1.0), (0.5, -1.0, 1.0), (0.0, float("nan"), 1.0)], 3.0, 0.0)  # event 1 first
+@example([(1.0, 0.5, 1.0), (0.5, 0.5, 1.0), (1.5, 1.0, 1.0)], 3.0, 0.0)  # unsorted before overlap
+@example([(0.0, 0.1 + 0.2, 1.0), (0.3, 1.0, 1.0)], 3.0, 0.0)  # touching within 1e-12
+def test_schedule_checks_match_per_event_loop(events, span, offset):
+    def bulk(events, span):
+        return [tuple(e) for e in InjectionSchedule(tuple(events), span).events]
+
+    if same_outcome(bulk, loop_schedule_events, events, span) is not None:
+        schedule = InjectionSchedule(tuple(events), span)
+        moved = [(start + offset, duration, dose) for start, duration, dose in schedule.events]
+        same_outcome(lambda e, t: [tuple(ev) for ev in schedule.shifted(offset).events],
+                     loop_schedule_events, moved, max(0.0, span + offset))
+        assert all(type(e) is InjectionEvent for e in schedule.events)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 0.1 + 0.2, float("nan")]),
+                          st.floats(-2.0, 2.0)), max_size=8))
+@example([(0.0, 1.0), (0.5, 2.0), (0.5, 1.0)])
+def test_peak_set_checks_match_per_peak_loop(pairs):
+    def bulk(pairs):
+        return [tuple(p) for p in PeakSet(tuple(pairs)).peaks]
+
+    if same_outcome(bulk, loop_peaks, pairs) is not None:
+        peaks = PeakSet(np.array(pairs, dtype=float).reshape(-1, 2))
+        assert repr([tuple(p) for p in peaks.peaks]) == repr(loop_peaks(pairs))
+        assert all(type(p) is Peak for p in peaks.peaks)
+
+
+@PROPERTY
+@given(st.data(), grid, st.sampled_from([0.1, 0.25, 0.5, 1.0, 0.1 + 0.2, 0.0, -1.0, float("nan")]))
+def test_match_peaks_matches_bisect_loop(data, step, tolerance):
+    starts = data.draw(grid_times(step, 20))
+    detections = data.draw(grid_times(step, 25))
+    events = [(s, step / 2, 1.0) for s in starts]
+
+    def bulk(events, detections, tolerance):
+        m = match_peaks(peaks_at(detections), InjectionSchedule(tuple(events), 10.0), tolerance)
+        return m.tp, m.fp, m.fn, m.pairs
+
+    same_outcome(bulk, loop_match, events, detections, tolerance)
