@@ -28,22 +28,29 @@ SPACING_TOLERANCE = 1e-6  # s, absorbs float printing jitter
 
 # Trace rows are formatted in blocks of BLOCK_ROWS by numpy into a matrix of
 # uint32 words, each four bytes of a row's text, and NUL bytes, which mark
-# unused cells, are deleted before the block is written. A number is
-# formatted there only where its correctly rounded digits are certain; the
-# others get Python's own %-format, spliced into their row's cells.
-BLOCK_ROWS = 8192
-_TIME_WORDS = 5  # sign and 1e8 digit, two words of integer digits, ".ddd", "ddd"
-_VALUE_WORDS = 8  # ",", sign and 1e8 digit, two integer words, ".", three fraction words, LF
+# unused cells, are deleted before the block is written. A row is its LF, then
+# the time and the value: the header is written without its LF, and one LF
+# ends the file. Each field is as wide as its widest text in the block, with
+# the digits at fixed places around the point and NUL where a shorter number
+# has none, so a row below 10,000 s with a value in [0, 10) takes 7 words. A
+# number is formatted there only where its correctly rounded digits are
+# certain; the others get Python's own %-format, spliced into their row's cells.
+BLOCK_ROWS = 4096  # at 8,192 rows, page faults on each block's larger arrays made writing no faster
 _DIGITS = 10_000  # entries of each 4-digit word table
 _TRAIL, _LEAD, _PLAIN = range(3)  # rows of _digit_words()
 # A rounding is certain if the product lies this far (relative) from the
 # midpoint between integers: 32 times the error of one float multiply.
 _CERTAIN = 2.0**-48
-# 10**(8 - e) at index e + _SCALE_E0 for the exponents -4..8 of %g's fixed
-# notation, else 0, over every exponent of a finite double
-_SCALE_E0 = 324
-_SCALE = np.zeros(_SCALE_E0 + 309)
-_SCALE[_SCALE_E0 - 4 : _SCALE_E0 + 9] = 10 ** np.arange(12, -1, -1)  # exact as doubles
+# At index e + _E0, over every exponent e of a finite double: 10**(8 - e),
+# which scales a value to nine digits before the point, 10**(e + 4), the place
+# of its ninth digit in units of 1e-12, and 10**(9 - e), the place of its tens
+# digit in units of its ninth, for the exponents -4..8 of %g's fixed
+# notation; else 0, 0 and 1.
+_E0 = 324
+_PLACE = np.zeros((3, _E0 + 309))
+_PLACE[2] = 1.0
+_FIXED = np.arange(-4, 9, dtype=np.int64)  # the exponents of %g's fixed notation
+_PLACE[:, _E0 - 4 : _E0 + 9] = 10 ** np.stack([8 - _FIXED, _FIXED + 4, 9 - _FIXED])
 
 _BIT_TEXT = bytes.maketrans(b"\0\1", b"01")  # bytes 0 and 1 as the characters "0" and "1"
 
@@ -202,103 +209,149 @@ def _word(text: bytes) -> int:
 @functools.cache
 def _digit_words() -> np.ndarray:
     """The 4-digit texts of 0..9999 as uint32 words, a row per style (``_TRAIL``,
-    ``_LEAD``, ``_PLAIN``): "%04d" with trailing zeros as NUL (0 is all NUL),
-    with leading zeros as NUL (0 is "0"), and as it is."""
+    ``_LEAD``, ``_PLAIN``): "%04d" with trailing zeros as NUL, with leading
+    zeros as NUL (0 is all NUL in both), and as it is."""
     n = np.arange(_DIGITS, dtype=np.int16)[:, None]
     place = 10 ** np.arange(3, -1, -1, dtype=np.int16)
     text = (n // place % 10 + ord("0")).astype(np.uint8)
     trail = np.where(n % (10 * place) == 0, 0, text)
-    lead = np.where((n >= place) | (place == 1), text, 0)
+    lead = np.where(n >= place, text, 0)
     words = np.stack([trail, lead, text]).view(np.uint32).reshape(3, _DIGITS)
     words.setflags(write=False)
     return words
 
 
-def _integer_words(n: np.ndarray, words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Three words of the whole numbers ``n`` (floats below 1e9), no leading zeros.
+@functools.cache
+def _point_words() -> tuple[np.ndarray, np.ndarray]:
+    """The words that hold a number's units digit and its point.
 
-    A word's style, its row of ``_digit_words()`` (flattened in ``words``), is
-    ``_PLAIN`` after a nonzero group of digits, ``_LEAD`` for the first one and
-    for the last word (0 is "0"), else ``_TRAIL`` (0 is all NUL). The first
-    word holds at most the digit of 1e8, in its last byte, so the caller can
-    put a sign in its first bytes. Up to 1e12 the words are still table
-    entries, for rows a caller splices over.
+    For times, "u.dd" at ``u * 100 + dd``. For values, at ``more * 1100 +
+    tens * 100 + u * 10 + d``: the tens digit ``tens - 1`` (NUL where ``tens``
+    is 0), the units digit ``u``, and the point and first decimal ``d``,
+    which are NUL where ``d`` and ``more``, the flag of later decimals, are 0.
     """
-    hi, q = np.floor(n / 1e8), np.floor(n / 1e4)
-    has_hi, has_q = np.minimum(hi, 1.0), np.minimum(q, 1.0)  # 1.0 where digits precede
-    return (  # styles 0, 1, 2 are _TRAIL, _LEAD, _PLAIN
-        _take(words, hi + _LEAD * _DIGITS * has_hi),
-        _take(words, q - hi * 1e4 + _DIGITS * (has_hi + has_q)),
-        _take(words, n - q * 1e4 + _DIGITS * (_LEAD + has_q)),
+    times = b"".join(b"%d.%02d" % divmod(k, 100) for k in range(1000))
+    values = b"".join(
+        (b"%d" % (tens - 1) if tens else b"\0") + b"%d" % u + (b".%d" % d if d or more else b"\0\0")
+        for more in (0, 1) for tens in range(11) for u in range(10) for d in range(10)
     )
+    return np.frombuffer(times, np.uint32), np.frombuffer(values, np.uint32)
 
 
-def _take(words: np.ndarray, index: np.ndarray) -> np.ndarray:
-    return words.take(index.astype(np.intp))
+def _take(words: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+    """``out[k] = words[index[k]]``; an index past the table, which only a
+    number left to ``_splice`` can give, is clipped to it."""
+    words.take(index, out=out, mode="clip")
 
 
-def _splice(out: np.ndarray, rows: np.ndarray, row_format: bytes, x: np.ndarray) -> None:
-    """Overwrite the ``rows`` (columns of ``out``) with ``row_format`` over their values."""
+def _high_words(out: np.ndarray, n: np.ndarray) -> None:
+    """The whole numbers ``n`` (below 1e8) right-aligned in the rows of ``out``,
+    leading zeros as NUL; a number that fits leaves the first byte NUL."""
+    words = _digit_words().ravel()
+    if len(out) == 1:
+        _take(words, n + _LEAD * _DIGITS, out[0])
+        return
+    hi = n // 10**4
+    out[:-2] = 0
+    _take(words, hi + _LEAD * _DIGITS, out[-2])
+    # _PLAIN is _LEAD + 1: plain after nonzero digits
+    _take(words, n - hi * 10**4 + (_LEAD + np.sign(hi)) * _DIGITS, out[-1])
+
+
+def _splice(out: np.ndarray, rows: np.ndarray, texts: list[bytes]) -> None:
+    """Overwrite the ``rows`` (columns of ``out``) with their ``texts``."""
     if rows.size:
-        width = 4 * len(out)
-        text = b"".join((row_format % y).ljust(width, b"\0") for y in x[rows].tolist())
+        text = b"".join(x.ljust(4 * len(out), b"\0") for x in texts)
         out[:, rows] = np.frombuffer(text, np.uint32).reshape(rows.size, len(out)).T
 
 
-# Both formatters fill ``out``, which holds a row of words per output word
-# and a column per number, and then splice in the numbers they could not
-# format. All digit arithmetic is on whole numbers below 2**53 held as
-# floats, where floor(n / 10**k) is exact and faster than integer division.
-
-def _format_times(out: np.ndarray, t: np.ndarray) -> None:
-    """``%.6f`` of each time, in ``_TIME_WORDS`` or more words."""
-    words = _digit_words().ravel()
-    s = np.fmin(np.abs(t), 1e9) * 1e6  # no rounding is certain from 1.4e8 s on, nor for NaN
+def _time_words(t: np.ndarray) -> np.ndarray:
+    """LF and ``%.6f`` of each time, in a matrix with a row per word and a
+    column per time. Its width is that of the block's widest text, which, as
+    times ascend and rounding is monotone, is the first or last time's."""
+    widest = max(len(b"%.6f" % x) for x in (t[0], t[-1]))
+    out = np.empty((max(3, widest // 4 + 1), len(t)), np.uint32)
+    s = np.fmin(np.abs(t), 9e8) * 1e6  # no rounding is certain from 1.4e8 s on; 9e8 fits the words
     r = np.rint(s)
-    certain = 0.5 - np.abs(s - r) > s * _CERTAIN
-    whole = np.floor(r / 1e6)
-    frac = r - whole * 1e6
-    out[0], out[1], out[2] = _integer_words(whole, words)
-    out[0] |= np.signbit(t).view(np.uint8) * np.uint32(_word(b"-"))
-    # plain words of numbers below 1000 start with "0": make it "." and NUL
-    thousands = np.floor(frac / 1e3)
-    out[3] = _take(words, thousands + _PLAIN * _DIGITS) ^ _word(bytes([ord("0") ^ ord(".")]))
-    out[4] = _take(words, frac - thousands * 1e3 + _PLAIN * _DIGITS) ^ _word(b"0")
-    _splice(out, np.flatnonzero(~certain), b"%.6f", t)
+    n = r.astype(np.int64)
+    high = n // 10**7  # the whole seconds but their units digit
+    low = (n - high * 10**7).astype(np.int32)
+    point = low // 10**4
+    _high_words(out[:-2], high)
+    out[0] |= np.uint32(_word(b"\n"))
+    if np.signbit(t[0]):  # a sign follows the LF
+        out[0] |= np.signbit(t).view(np.uint8) * np.uint32(_word(b"\0-"))
+    _take(_point_words()[0], point, out[-2])
+    _take(_digit_words()[_PLAIN], low - point * 10**4, out[-1])
+    rows = np.flatnonzero(0.5 - np.abs(s - r) <= s * _CERTAIN)
+    _splice(out, rows, [b"\n%.6f" % x for x in t[rows].tolist()])
+    return out
 
 
-def _value_digits(v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The whole part and twelve digits after the point of ``%.9g`` of each
-    value in fixed notation, and where the kernel cannot tell that text."""
-    a = np.abs(v)
-    zero = a == 0  # taken as log10(1): their digits come out as "0"
-    # 10**(8 - e) for the decimal exponent e of a, 0 where %g may not print fixed notation
-    scale = _SCALE.take(np.floor(np.log10(a + zero)).astype(np.intp) + _SCALE_E0)
-    s = a * scale  # nine digits before the point, if e is right
+def _trace_block(time_words: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``time_words`` over the words of "," and ``%.9g`` of each value.
+
+    The value field ends in a word with the tens digit, the units digit, the
+    point and decimal 1, then three words of decimals 2-12. Any words before
+    it hold the comma, the sign and the digits above the tens; in a field of
+    four words the comma takes the tens digit's byte. Values print 12
+    decimals at most in fixed notation, so one field layout serves them all.
+    """
+    neg = np.signbit(v)
+    signed = bool(neg.any())
+    a = np.abs(v) if signed else v
+    zero = a == 0
+    x = np.fmax(a, 1e-320)  # zero's exponent is out of range, and its digits come out as "0"
+    np.log10(x, out=x)
+    x += _E0
+    i = x.astype(np.intp)  # e + _E0 for the decimal exponent e
+    s = _PLACE[0].take(i)
+    s *= a  # nine digits before the point, if e is right
     r = np.rint(s)
-    unit = np.maximum(scale, 1.0)
-    whole = np.floor(r / unit)
-    frac = (r - whole * unit) * (1e12 / unit)
-    # whole == 1e9 is a carry into exponent 9, which %g prints as 1e+09
-    certain = (s >= 1e8) & (s < 1e9) & (whole < 1e9) & (0.5 - np.abs(s - r) > s * _CERTAIN)
-    return whole, frac, ~(certain | zero)
-
-
-def _format_values(out: np.ndarray, v: np.ndarray) -> None:
-    """``,%.9g`` of each value and LF, in ``_VALUE_WORDS`` words."""
+    # a carry into exponent 9 is 1e+09 in %g
+    certain = (s >= 1e8) & (s < 999_999_999.5) & (0.5 - np.abs(s - r) > s * _CERTAIN) | zero
+    rows = np.flatnonzero(~certain)
+    texts = [b",%.9g" % y for y in v[rows].tolist()]
+    if a.max() < 9.99999999:  # every whole part is its units digit
+        whole_digits, high = 1, None
+    else:
+        place = _PLACE[2].take(i)
+        high = np.floor(r / place)  # the whole part but its units digit
+        r -= high * place
+        high = high.astype(np.int64)
+        whole_digits = len(str(10 * int(np.max(high, where=certain, initial=0))))
+    r *= _PLACE[1].take(i)
+    n = r.astype(np.int64)  # the units digit and 12 decimals
+    longest = max(map(len, texts), default=0)
+    width = max((whole_digits + signed + 6) // 4 + 3, (longest + 3) // 4)
+    block = np.empty((len(time_words) + width, len(v)), np.uint32)
+    block[: len(time_words)] = time_words
+    out = block[len(time_words) :]
+    n7 = n // 10**7
+    low = (n - n7 * 10**7).astype(np.int32)  # decimals 6-12
+    n7 = n7.astype(np.int32)
+    point = n7 // 10**4  # the units digit and decimal 1
+    d2 = n7 - point * 10**4  # decimals 2-5
+    d6 = low // 1000
+    d10 = low - d6 * 1000
     words = _digit_words().ravel()
-    whole, frac, uncertain = _value_digits(v)
-    out[0], out[1], out[2] = _integer_words(whole, words)
-    out[0] |= np.signbit(v).view(np.uint8) * np.uint32(_word(b"\0-")) + np.uint32(_word(b","))
-    out[3] = (frac != 0).view(np.uint8) * np.uint32(_word(b"."))
     # plain words while nonzero digits follow, then trailing zeros as NUL
-    f1, q = np.floor(frac / 1e8), np.floor(frac / 1e4)
-    f3 = frac - q * 1e4
-    out[4] = _take(words, f1 + _PLAIN * _DIGITS * (frac != f1 * 1e8))
-    out[5] = _take(words, q - f1 * 1e4 + _PLAIN * _DIGITS * (f3 != 0))
-    out[6] = _take(words, f3)
-    out[7] = _word(b"\n")
-    _splice(out, np.flatnonzero(uncertain), b",%.9g\n", v)
+    _take(words, d2 + np.sign(low) * (_PLAIN * _DIGITS), out[-3])
+    _take(words, d6 + np.sign(d10) * (_PLAIN * _DIGITS), out[-2])
+    _take(words, d10 * 10, out[-1])
+    index = point + np.sign(d2 | low) * 1100
+    out[:-4] = 0
+    if high is not None:
+        above = high // 10
+        index = index + (high - above * 10 + np.sign(high)) * 100  # the tens digit + 1, if any
+        if len(out) > 4:
+            _high_words(out[:-4], above)
+    _take(_point_words()[1], index, out[-4])
+    out[0] |= np.uint32(_word(b","))
+    if signed:  # a sign follows the comma
+        out[0] |= neg.view(np.uint8) * np.uint32(_word(b"\0-"))
+    _splice(out, rows, texts)
+    return block
 
 
 def write_traces(traces: Mapping[str | os.PathLike, SensorTrace]) -> None:
@@ -306,27 +359,25 @@ def write_traces(traces: Mapping[str | os.PathLike, SensorTrace]) -> None:
 
     The traces must share ``t0``, ``sample_interval`` and length, or a
     ValidationError is raised before any file is opened. Each file holds
-    exactly the text of ``"%.6f,%.9g\n"`` over its rows.
+    exactly the text of ``"%.6f,%.9g\n"`` over its rows, written with each
+    row's LF before it: the header goes without its LF, and one LF ends the file.
     """
     bases = {(t.t0, t.sample_interval, len(t)) for t in traces.values()}
     if len(bases) != 1:
         raise ValidationError(f"traces written together must share t0, sample_interval and "
                               f"length; got {sorted(bases)}")
     times = next(iter(traces.values())).bin_starts()
-    # rounding is monotone, so the largest |time| has the longest text
-    widest = len(b"%.6f" % -np.abs(times).max(initial=0.0))
-    time_words = max(_TIME_WORDS, -(-widest // 4))
     with ExitStack() as stack:
         files = [stack.enter_context(open(p, "wb")) for p in traces]
         for fh in files:
-            fh.write((",".join(TRACE_HEADER) + "\n").encode())
+            fh.write(",".join(TRACE_HEADER).encode())
         for a in range(0, len(times), BLOCK_ROWS):
-            t = times[a : a + BLOCK_ROWS]
-            block = np.zeros((time_words + _VALUE_WORDS, len(t)), np.uint32)  # a column per row
-            _format_times(block[:time_words], t)
+            time_words = _time_words(times[a : a + BLOCK_ROWS])
             for fh, trace in zip(files, traces.values()):
-                _format_values(block[time_words:], trace.samples[a : a + BLOCK_ROWS])
+                block = _trace_block(time_words, trace.samples[a : a + BLOCK_ROWS])
                 fh.write(block.T.tobytes().translate(None, b"\0"))
+        for fh in files:
+            fh.write(b"\n")
 
 
 def write_trace(trace: SensorTrace, path: str | os.PathLike) -> None:

@@ -214,6 +214,29 @@ def per_row_trace_csv(samples, sample_interval, t0):
     return per_row_csv(["time_s", "amplitude"], "{:.6f},{:.9g}", rows)
 
 
+def uncertain_times(times):
+    """How many ``times`` the trace writer leaves to Python's %.6f: those whose
+    microseconds (of at most 9e8 s) lie within 2**-48 (relative) of a rounding
+    midpoint."""
+    scaled = (min(abs(t), 9e8) * 1e6 for t in map(float, times))
+    return sum(not 0.5 - abs(s - round(s)) > s * 2.0**-48 for s in scaled)
+
+
+def uncertain_values(samples):
+    """How many ``samples`` the trace writer leaves to Python's %.9g: all but
+    zero and the values whose exact decimal exponent is in -4..8, where %g
+    prints fixed notation, and whose nine digits before the point neither
+    round up to ten digits nor lie within 2**-48 (relative) of a rounding
+    midpoint."""
+    count = 0
+    for x in map(abs, map(float, samples)):
+        e = int(f"{x:.16e}".partition("e")[2])
+        s = x * 10.0 ** (8 - e) if -4 <= e <= 8 else 0.0
+        certain = 1e8 <= s < 999_999_999.5 and 0.5 - abs(s - round(s)) > s * 2.0**-48
+        count += not (x == 0 or certain)
+    return count
+
+
 def csv_reader_table(text, header, path):
     """The (rows, columns) array that ``csv.reader`` rows of ``text`` hold,
     checked one row and cell at a time; a bad row raises FormatError, with

@@ -37,9 +37,12 @@ from helpers import (
     peaks_at,
     per_row_csv,
     per_row_trace_csv,
+    uncertain_times,
+    uncertain_values,
 )
-from bubblelink import channel
+from bubblelink import channel, trace_io
 from bubblelink.channel import ChannelParams, clean_signal, echo_passes, echo_table, sample_count, simulate
+from bubblelink.config import load_config
 from bubblelink.dsp import (
     KALMAN_BLOCK,
     KalmanParams,
@@ -59,6 +62,7 @@ from bubblelink.modem import (
     parse_bits,
     validate_bits,
 )
+from bubblelink.pipeline import run_experiment
 from bubblelink.signals import Peak, PeakSet, SensorTrace
 from bubblelink.trace_io import (
     BLOCK_ROWS,
@@ -262,7 +266,9 @@ block_lengths = st.sampled_from(
 )
 
 
-@settings(deadline=None, max_examples=60)
+# CI raises both counts (WRITE_TRACE_EXAMPLES), since on each numpy version it
+# tests these are what check the kernel's integer arithmetic
+@settings(deadline=None, max_examples=int(os.environ.get("WRITE_TRACE_EXAMPLES", "60")))
 @given(
     block_lengths,
     st.lists(amplitudes, min_size=1, max_size=16),
@@ -280,7 +286,7 @@ def test_write_trace_matches_per_row_format(tmp_path_factory, n, values, dt, t0)
     assert path.read_bytes() == per_row_trace_csv(samples, dt, t0).encode()
 
 
-@settings(deadline=None, max_examples=30)
+@settings(deadline=None, max_examples=int(os.environ.get("WRITE_TRACE_EXAMPLES", "30")))
 @given(block_lengths, st.integers(0, 2**32 - 1), st.floats(1e-6, 10.0), start_times)
 def test_write_traces_match_per_row_format(tmp_path_factory, n, seed, dt, t0):
     rng = np.random.default_rng(seed)
@@ -303,6 +309,69 @@ def test_write_traces_splice_fallback_rows_inside_a_block(tmp_path):
     write_traces(dict(zip(paths, traces)))
     for path, trace in zip(paths, traces):
         assert path.read_bytes() == per_row_trace_csv(trace.samples, 5e-7, 0.0).encode()
+
+
+def plain_values(n):
+    """``n`` values in [0, 9.9), as every workload's traces hold: the narrowest
+    layout, which the drawn examples above seldom fill a block with."""
+    return np.random.default_rng(n).random(n) * 9.9
+
+
+@pytest.mark.parametrize("edge", [
+    9.9999999995,  # carries to 10
+    10.0,  # widens the value field
+    1e-4, 9.99999999e-5,  # either side of exponent notation
+    -0.0, -0.5, -1.23456789e-100,  # a sign, and a 17-byte text
+])
+def test_write_trace_edge_inside_a_plain_block(tmp_path, edge):
+    samples = plain_values(BLOCK_ROWS + 5)
+    samples[BLOCK_ROWS // 3] = edge
+    path = tmp_path / "edge.csv"
+    write_trace(SensorTrace(0.04, 0.0, samples), path)
+    assert path.read_bytes() == per_row_trace_csv(samples, 0.04, 0.0).encode()
+
+
+@pytest.mark.parametrize("power", [10.0, 1000.0, 10_000.0])
+def test_write_trace_times_crossing_a_power_of_ten(tmp_path, power):
+    samples = plain_values(BLOCK_ROWS)
+    t0 = power - 100 * 0.04  # 100 rows before it, inside the first block
+    path = tmp_path / "crossing.csv"
+    write_trace(SensorTrace(0.04, t0, samples), path)
+    assert path.read_bytes() == per_row_trace_csv(samples, 0.04, t0).encode()
+
+
+def test_write_trace_ends_a_long_time_base(tmp_path):
+    # 977,917 samples at 0.04 s end at 39,116 s, past the 4-digit time field
+    n, first = 977_917, 977_917 - 2 * BLOCK_ROWS - 5
+    samples = plain_values(n)
+    path = tmp_path / "long.csv"
+    write_trace(SensorTrace(0.04, 0.0, samples), path)
+    tail = "".join(f"\n{k * 0.04:.6f},{x:.9g}" for k, x in zip(range(first, n), samples[first:].tolist()))
+    with open(path, "rb") as fh:
+        fh.seek(-len(tail) - 1, os.SEEK_END)
+        assert fh.read() == (tail + "\n").encode()
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"bits.length": "1000", "bits.seed": "3", "channel.rng_seed": "3"},
+], ids=["paper-like", "1000-bits"])
+def test_write_traces_splice_only_uncertain_numbers(tmp_path, monkeypatch, overrides):
+    result = run_experiment(load_config(preset="paper-like", overrides=overrides))
+    traces = [branch.trace for branch in result.branches.values()]
+    spliced, splice = [], trace_io._splice
+    monkeypatch.setattr(trace_io, "_splice", lambda out, rows, texts: (
+        spliced.append(rows.size), splice(out, rows, texts)))
+    write_traces({tmp_path / f"{k}.csv": trace for k, trace in enumerate(traces)})
+    expected = uncertain_times(traces[0].bin_starts()) + sum(uncertain_values(t.samples) for t in traces)
+    assert sum(spliced) == expected
+    # wider times and values widen their fields; no row that fits them is spliced
+    scaled = SensorTrace(0.04, 39_000.0, traces[0].samples * 1000)
+    spliced.clear()
+    write_trace(scaled, tmp_path / "scaled.csv")
+    assert sum(spliced) == uncertain_times(scaled.bin_starts()) + uncertain_values(scaled.samples)
+    expected_text = per_row_trace_csv(scaled.samples, 0.04, 39_000.0)
+    assert (tmp_path / "scaled.csv").read_bytes() == expected_text.encode()
 
 
 @pytest.mark.parametrize("other", [

@@ -15,6 +15,7 @@ from bubblelink.trace_io import (
     _PLAIN,
     _TRAIL,
     _digit_words,
+    _point_words,
     read_bits,
     read_peaks,
     read_schedule,
@@ -153,9 +154,29 @@ def test_digit_word_tables_match_their_definitions():
     tables = _digit_words()
     numbers = range(10_000)
     assert tables[_PLAIN].tobytes() == b"".join(b"%04d" % i for i in numbers)
-    assert tables[_LEAD].tobytes() == b"".join(str(i).encode().rjust(4, b"\0") for i in numbers)
+    leading_nul = (("%04d" % i).lstrip("0").rjust(4, "\0") for i in numbers)
+    assert tables[_LEAD].tobytes() == "".join(leading_nul).encode()
     trailing_nul = (("%04d" % i).rstrip("0").ljust(4, "\0") for i in numbers)
     assert tables[_TRAIL].tobytes() == "".join(trailing_nul).encode()
+
+
+def point_word(more, tens, units, first):
+    """The bytes of %.9g text from the tens digit to the first decimal, for a
+    number whose whole part ends in ``tens - 1`` and ``units`` (below 10 if
+    ``tens`` is 0) and whose decimals are ``first``, then 1 if ``more``."""
+    whole = units if tens == 0 else 100 + 10 * (tens - 1) + units
+    text = b"%.9g" % (whole + first / 10 + more / 100)
+    integer, _, decimals = text.partition(b".")
+    return integer[-2:].rjust(2, b"\0") + (b"." + decimals[:1] if decimals else b"\0\0")
+
+
+def test_point_word_tables_match_their_definitions():
+    times, values = _point_words()
+    assert times.tobytes() == b"".join(b"%.2f" % (k / 100) for k in range(1000))
+    assert values.tobytes() == b"".join(
+        point_word(more, tens, units, first)
+        for more in (0, 1) for tens in range(11) for units in range(10) for first in range(10)
+    )
 
 
 class TestScheduleFiles:
