@@ -5,13 +5,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import ValidationError
 from .signals import PeakSet, SensorTrace
-
-KALMAN_BLOCK = 1024  # samples per tolist(); a whole-trace list raised peak memory
 
 
 @dataclass(frozen=True)
@@ -86,44 +85,36 @@ def moving_average(trace: SensorTrace, params: MafParams) -> SensorTrace:
     return trace.with_samples(y)
 
 
-def _kalman_gains(params: KalmanParams, n: int) -> np.ndarray:
-    """The first m <= n gains of the filter; if m < n, every later gain equals the last.
+def _kalman_outputs(samples: np.ndarray, params: KalmanParams) -> Iterator[float]:
+    """The filtered value of each sample, read one at a time as a Python float.
 
-    The gain does not depend on the samples. It is computed until the variance
-    p reaches a float fixed point, after which p, and so the gain, stays the same.
+    The gain does not depend on the samples. Each sample takes its own until the
+    variance p reaches a float fixed point; after that p, and so the gain, stays
+    the same, and the second loop applies it to the remaining samples.
     """
-    gains = np.empty(n)
-    p = params.p0
-    for i in range(n):
-        p_pred = p + params.q
-        k = p_pred / (p_pred + params.r)
-        gains[i] = k
+    zs = iter(memoryview(samples))
+    x, p, q, r = params.x0, params.p0, params.q, params.r
+    for z in zs:
+        p_pred = p + q
+        k = p_pred / (p_pred + r)
+        x = x + k * (z - x)
+        yield x
         p, p_prev = (1.0 - k) * p_pred, p
         if p == p_prev:
-            return gains[: i + 1]
-    return gains
+            break
+    for z in zs:
+        x = x + k * (z - x)
+        yield x
 
 
 def kalman_filter(trace: SensorTrace, params: KalmanParams | None) -> SensorTrace:
     """Scalar random-walk Kalman smoother applied sample by sample.
 
     With ``params`` None it is tuned to the trace by ``default_kalman_params``.
-    Samples are converted to Python floats ``KALMAN_BLOCK`` at a time. Each
-    takes its own gain until the gain settles, then the settled one.
     """
     if params is None:
         params = default_kalman_params(trace)
-    gains = _kalman_gains(params, len(trace))
-    x = params.x0
-    out = np.empty(len(trace), dtype=float)
-    for a in range(0, len(trace), KALMAN_BLOCK):
-        zs = trace.samples[a : a + KALMAN_BLOCK].tolist()
-        ks = gains[a : a + KALMAN_BLOCK].tolist()
-        ys = [x := x + k * (z - x) for z, k in zip(zs, ks)]
-        settled = gains[-1].item()
-        ys += [x := x + settled * (z - x) for z in zs[len(ks) :]]
-        out[a : a + len(ys)] = ys
-    return trace.with_samples(out)
+    return trace.with_samples(np.fromiter(_kalman_outputs(trace.samples, params), float, len(trace)))
 
 
 def peak_candidates(samples: np.ndarray, threshold: float) -> list[int]:

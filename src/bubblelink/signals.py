@@ -86,6 +86,8 @@ class PeakSet:
 
     def __post_init__(self):
         table = float_table(self.peaks, 2)
+        if not np.isfinite(table).all():
+            raise ValidationError("peak times and amplitudes must be finite")
         if not (table[1:, 0] > table[:-1, 0]).all():
             raise ValidationError("peak times must be strictly ascending")
         object.__setattr__(self, "table", table)
@@ -93,6 +95,3 @@ class PeakSet:
 
     def __len__(self) -> int:
         return len(self.peaks)
-
-    def times(self) -> list[float]:
-        return self.table[:, 0].tolist()

@@ -27,6 +27,27 @@ def peaks_at(times, amplitude=1.0):
     return PeakSet(tuple(Peak(float(t), amplitude) for t in times))
 
 
+# (q, r, p0) tunings: the paper-like preset's, whose p settles after 54 steps;
+# default_kalman_params' at unit scale, after 180; a 2-cycle of p; and a p
+# that takes ~10^5 steps to settle
+PAPER_KALMAN = (0.018, 0.14, 0.14)
+PRESET_KALMAN = (1e-4, 1e-2, 1e-2)
+CYCLING_KALMAN = (5.7484883908062975e-05, 3.208862899884772e-05, 3.208862899884772e-05)
+SLOW_KALMAN = (1e-11, 2e3, 2e3)
+
+
+def kalman_settled_variance(q, r, p0):
+    """The float variance at which the filter's update, iterated from ``p0``,
+    first repeats; it never returns if p cycles."""
+    p = p0
+    while True:
+        p_pred = p + q
+        p_next = (1.0 - p_pred / (p_pred + r)) * p_pred
+        if p_next == p:
+            return p
+        p = p_next
+
+
 def kalman_variance_fixed_point(q, r):
     """Steady-state posterior variance p* with p* = (p*+q) r / (p*+q+r)."""
     # positive root of p^2 + q p - q r = 0
@@ -315,8 +336,12 @@ def loop_schedule_events(events, total_span):
 
 
 def loop_peaks(pairs):
-    """A peak set's (time, amplitude) float pairs, checked one neighbour pair at a time."""
+    """A peak set's (time, amplitude) float pairs, checked one peak and then one
+    neighbour pair at a time."""
     peaks = [(float(t), float(a)) for t, a in pairs]
+    for peak in peaks:
+        if not all(map(math.isfinite, peak)):
+            raise ValidationError("peak times and amplitudes must be finite")
     for prev, cur in zip(peaks, peaks[1:]):
         if not cur[0] > prev[0]:
             raise ValidationError("peak times must be strictly ascending")

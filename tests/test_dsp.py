@@ -1,9 +1,17 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import brute_maf, kalman_variance_fixed_point, oracle_detect
+from helpers import (
+    CYCLING_KALMAN,
+    PAPER_KALMAN,
+    brute_kalman,
+    brute_maf,
+    kalman_variance_fixed_point,
+    oracle_detect,
+)
 from bubblelink.dsp import (
     KalmanParams,
     MafParams,
@@ -85,6 +93,29 @@ class TestKalmanFilter:
         tuned = kalman_filter(trace, default_kalman_params(trace)).samples
         assert np.array_equal(kalman_filter(trace, None).samples, tuned)
 
+    def test_strided_samples(self):
+        x = np.random.Generator(np.random.PCG64(26)).normal(size=400)[::2]
+        trace = make_trace(x)
+        assert not trace.samples.flags.contiguous  # so the memoryview over it is strided
+        q, r, p0 = PAPER_KALMAN
+        out = kalman_filter(trace, KalmanParams(q, r, 0.5, p0)).samples
+        assert np.array_equal(out, brute_kalman(x, q, r, 0.5, p0))
+
+    @pytest.mark.parametrize("qrp", [PAPER_KALMAN, CYCLING_KALMAN], ids=["settles", "cycles"])
+    def test_peak_memory_near_the_output(self, qrp):
+        # the output and the trace's n-byte finite mask; a gain array or a list
+        # of the outputs would each add about the output's bytes again
+        trace = make_trace(np.random.Generator(np.random.PCG64(27)).random(200_000))
+        q, r, p0 = qrp
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kalman_filter(trace, KalmanParams(q, r, 0.0, p0))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * trace.samples.nbytes
+
     def test_convex_combination(self):
         rng = np.random.Generator(np.random.PCG64(24))
         x = rng.normal(size=300)
@@ -127,11 +158,11 @@ class TestDetectPeaks:
 
     def test_two_separated_maxima(self):
         peaks = detect_peaks(make_trace([0, 5, 0, 0, 6, 0]), PeakDetectParams(3.0, 1))
-        times = peaks.times()
+        times = peaks.table[:, 0].tolist()
         assert times == pytest.approx([(1 + 0.5) * 0.04, (4 + 0.5) * 0.04])
         shifted = make_trace([0, 5, 0, 0, 6, 0], t0=1234.5678)
         peaks = detect_peaks(shifted, PeakDetectParams(3.0, 1))
-        assert peaks.times() == shifted.bin_centers()[[1, 4]].tolist()
+        assert peaks.table[:, 0].tolist() == shifted.bin_centers()[[1, 4]].tolist()
 
     def test_greedy_amplitude_suppression(self):
         peaks = detect_peaks(make_trace([0, 5, 4, 6, 0]), PeakDetectParams(3.0, 3))
@@ -162,7 +193,7 @@ class TestDetectPeaks:
                     assert abs(a - b) >= params.min_distance
             # invariant under appending trailing sub-threshold zeros
             padded = make_trace(np.concatenate([x, np.zeros(7)]))
-            assert detect_peaks(padded, params).times() == peaks.times()
+            assert detect_peaks(padded, params).table[:, 0].tolist() == peaks.table[:, 0].tolist()
 
     def test_matches_exhaustive_oracle(self):
         rng = np.random.Generator(np.random.PCG64(32))

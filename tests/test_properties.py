@@ -18,6 +18,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    CYCLING_KALMAN,
+    PAPER_KALMAN,
+    PRESET_KALMAN,
+    SLOW_KALMAN,
     brute_decode,
     brute_echo_passes,
     brute_greedy_detect,
@@ -26,6 +30,7 @@ from helpers import (
     brute_spikes,
     csv_reader_table,
     full_axis_signal,
+    kalman_settled_variance,
     loop_bit_line,
     loop_encode_events,
     loop_match,
@@ -44,7 +49,6 @@ from bubblelink import channel, trace_io
 from bubblelink.channel import ChannelParams, clean_signal, echo_passes, echo_table, sample_count, simulate
 from bubblelink.config import load_config
 from bubblelink.dsp import (
-    KALMAN_BLOCK,
     KalmanParams,
     PeakDetectParams,
     detect_peaks,
@@ -105,7 +109,7 @@ def test_peak_candidates_match_oracle(x, threshold):
 def test_detect_peaks_matches_brute_greedy(x, threshold, min_distance):
     peaks = detect_peaks(SensorTrace(1.0, 0.0, x), PeakDetectParams(float(threshold), min_distance))
     expected = brute_greedy_detect(x, threshold, min_distance)
-    assert peaks.times() == [i + 0.5 for i in expected]
+    assert peaks.table[:, 0].tolist() == [i + 0.5 for i in expected]
     assert [p.amplitude for p in peaks.peaks] == [x[i] for i in expected]
 
 
@@ -408,10 +412,8 @@ def test_small_tables_match_per_row_format(tmp_path):
     assert (tmp_path / "c.csv").read_bytes() == expected.encode()
 
 
-# the preset's tuning, a 2-cycle of p, and a p that takes ~10^5 steps to settle
-PRESET_KALMAN = (1e-4, 1e-2, 1e-2)
-CYCLING_KALMAN = (5.7484883908062975e-05, 3.208862899884772e-05, 3.208862899884772e-05)
-SLOW_KALMAN = (1e-11, 2e3, 2e3)
+# the paper-like tuning with p0 at its float fixed point
+SETTLED_KALMAN = (*PAPER_KALMAN[:2], kalman_settled_variance(*PAPER_KALMAN))
 
 
 @PROPERTY
@@ -421,10 +423,14 @@ SLOW_KALMAN = (1e-11, 2e3, 2e3)
     st.one_of(st.integers(0, 80), block_lengths),
     st.integers(0, 2**32 - 1),
 )
-@example(PRESET_KALMAN, 0.0, 200, 0)  # settles after 54 steps
+@example(PRESET_KALMAN, 0.0, 200, 0)  # settles after 180 steps
 @example(PRESET_KALMAN, 0.3, 20, 1)  # ends before it settles
 @example(CYCLING_KALMAN, 0.0, 300, 2)
-@example(SLOW_KALMAN, 1.0, 2 * KALMAN_BLOCK + 3, 3)
+@example(SLOW_KALMAN, 1.0, 2051, 3)
+@example(PAPER_KALMAN, 0.0, 0, 4)
+@example(PAPER_KALMAN, 0.5, 1, 5)
+@example(PAPER_KALMAN, 0.0, 54, 6)  # settles at the last sample, so no sample takes the settled gain
+@example(SETTLED_KALMAN, 0.0, 60, 7)  # settles at the first sample
 def test_kalman_filter_matches_brute(qrp, x0, n, seed):
     q, r, p0 = qrp
     x = np.random.default_rng(seed).normal(size=n) * 10.0 ** (seed % 7 - 3)
@@ -630,6 +636,8 @@ def test_schedule_checks_match_per_event_loop(events, span, offset):
 @given(st.lists(st.tuples(st.sampled_from([0.0, 0.5, 1.0, 0.1 + 0.2, float("nan")]),
                           st.floats(-2.0, 2.0)), max_size=8))
 @example([(0.0, 1.0), (0.5, 2.0), (0.5, 1.0)])
+@example([(float("nan"), 1.0)])  # a lone NaN time
+@example([(1.0, 0.5), (0.5, float("inf"))])  # an infinite amplitude after an unsorted pair
 def test_peak_set_checks_match_per_peak_loop(pairs):
     def bulk(pairs):
         return [tuple(p) for p in PeakSet(tuple(pairs)).peaks]
