@@ -114,7 +114,8 @@ def _gaussian_deviates(rng: np.random.Generator, n: int) -> np.ndarray:
     u1 = 1.0 - rng.random(m)  # in (0, 1]
     u2 = rng.random(m)
     r = np.sqrt(-2.0 * np.log(u1))
-    z = np.concatenate([r * np.cos(2 * np.pi * u2), r * np.sin(2 * np.pi * u2)])
+    angle = 2 * np.pi * u2
+    z = np.concatenate([r * np.cos(angle), r * np.sin(angle)])
     return z[:n]
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,9 +10,11 @@ from helpers import (
     PAPER_KALMAN,
     brute_kalman,
     brute_maf,
+    kalman_settled_variance,
     kalman_variance_fixed_point,
     oracle_detect,
 )
+from bubblelink import dsp
 from bubblelink.dsp import (
     KalmanParams,
     MafParams,
@@ -71,6 +74,17 @@ class TestMovingAverage:
             MafParams(0)
 
 
+def filtered_and_stepped(trace, params):
+    """kalman_filter's output and how many samples its per-sample generator stepped through."""
+    with mock.patch.object(dsp, "_kalman_outputs", wraps=dsp._kalman_outputs) as generator:
+        out = kalman_filter(trace, params).samples
+    return out, sum(len(call.args[0]) for call in generator.call_args_list)
+
+
+def assert_same_bits(got, expected):
+    assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+
+
 class TestKalmanFilter:
     def test_zero_gain_fixed_point(self):
         trace = make_trace([2.0] * 10)
@@ -115,6 +129,58 @@ class TestKalmanFilter:
         finally:
             tracemalloc.stop()
         assert peak <= 1.5 * trace.samples.nbytes
+
+    @pytest.mark.parametrize("tuning, n", [("paper", 9_200), ("auto", 35_000)])
+    def test_block_path_matches_brute(self, tuning, n):
+        # about 70 blocks after the gain settles, above the 64-block crossover, then a
+        # tail shorter than a block; noise clipped at 0 with sparse unit pulses
+        rng = np.random.Generator(np.random.PCG64(28))
+        trace = make_trace(np.maximum(0.08 * rng.normal(size=n) + (rng.random(n) < 0.01), 0.0))
+        params = KalmanParams(*PAPER_KALMAN[:2], 0.0, PAPER_KALMAN[2])
+        if tuning == "auto":
+            params = default_kalman_params(trace)
+        out, stepped = filtered_and_stepped(trace, params)
+        assert_same_bits(out, brute_kalman(trace.samples, params.q, params.r, params.x0, params.p0))
+        assert stepped < n / 10  # the rest went through the blocks
+
+    def test_block_path_strided_samples(self):
+        x = np.random.Generator(np.random.PCG64(29)).normal(size=18_400)[::2]
+        trace = make_trace(x)
+        assert not trace.samples.flags.contiguous  # so the (blocks, width) view is strided
+        q, r, p0 = PAPER_KALMAN
+        out, stepped = filtered_and_stepped(trace, KalmanParams(q, r, 0.5, p0))
+        assert_same_bits(out, brute_kalman(x, q, r, 0.5, p0))
+        assert stepped < len(x) / 10
+
+    def test_block_path_keeps_signed_zeros(self):
+        # from -0.0 each step adds k * -5e-324, which rounds to -0.0, so every output is
+        # -0.0; a block warmed up from 0.0 stays at +0.0, which == accepts and the bits refuse
+        q, r, _ = PAPER_KALMAN
+        p = kalman_settled_variance(*PAPER_KALMAN)  # so k is 0.3 < 0.5 from the first step
+        x = np.full(9_200, -5e-324)
+        out = kalman_filter(make_trace(x), KalmanParams(q, r, -0.0, p)).samples
+        assert_same_bits(out, brute_kalman(x, q, r, -0.0, p))
+        assert np.all(np.signbit(out)) and not out.any()
+
+    def test_every_block_falling_back(self):
+        # one-sample blocks whose warm-up is one step from 0.0 never match, so the
+        # generator recomputes each but block 0, which starts from the exact state
+        x = np.random.Generator(np.random.PCG64(30)).normal(size=300)
+        q, r, p0 = PAPER_KALMAN
+        with mock.patch.object(dsp, "_MIN_BLOCKS", 1), mock.patch.object(dsp, "_WARMUP_BITS", 1e-9):
+            out, stepped = filtered_and_stepped(make_trace(x), KalmanParams(q, r, 0.5, p0))
+        assert_same_bits(out, brute_kalman(x, q, r, 0.5, p0))
+        assert stepped == len(x) - 1
+
+    def test_block_path_overflow_raises_like_the_generator(self):
+        # z - x overflows to inf, then inf - inf gives nan: silently in the generator's Python
+        # floats, and in the lockstep passes too, so the finite check is what raises
+        x = np.tile([1.7e308, -1.7e308], 4_600)
+        params = KalmanParams(*PAPER_KALMAN[:2], 0.0, PAPER_KALMAN[2])
+        with pytest.raises(ValidationError, match="finite"):
+            kalman_filter(make_trace(x), params)
+        with mock.patch.object(dsp, "_MIN_BLOCKS", len(x)), pytest.raises(ValidationError, match="finite"):
+            kalman_filter(make_trace(x), params)  # the generator alone
 
     def test_convex_combination(self):
         rng = np.random.Generator(np.random.PCG64(24))

@@ -1,10 +1,10 @@
 """Property tests: the echo table, the chunked clean signal, the one-draw
-spikes, the windowed and searchsorted receive chain and the settled-gain
-Kalman filter against brute-force references in ``helpers`` that check
-every pass, sample, spike or peak, the block-formatted CSV writer against
-per-row ``str.format`` text, the CSV table reader against a row-by-row
-``csv.reader`` reference, and the bulk bit, schedule, peak-set and match
-checks against the per-element ``loop_*`` references."""
+spikes, the windowed and searchsorted receive chain and the settled-gain and
+lockstep-block Kalman filter against brute-force references in ``helpers``
+that check every pass, sample, spike or peak, the block-formatted CSV writer
+against per-row ``str.format`` text, the CSV table reader against a
+row-by-row ``csv.reader`` reference, and the bulk bit, schedule, peak-set
+and match checks against the per-element ``loop_*`` references."""
 
 import csv
 import os
@@ -45,7 +45,7 @@ from helpers import (
     uncertain_times,
     uncertain_values,
 )
-from bubblelink import channel, trace_io
+from bubblelink import channel, dsp, trace_io
 from bubblelink.channel import ChannelParams, clean_signal, echo_passes, echo_table, sample_count, simulate
 from bubblelink.config import load_config
 from bubblelink.dsp import (
@@ -436,6 +436,31 @@ def test_kalman_filter_matches_brute(qrp, x0, n, seed):
     x = np.random.default_rng(seed).normal(size=n) * 10.0 ** (seed % 7 - 3)
     got = kalman_filter(SensorTrace(0.04, 0.0, x), KalmanParams(q, r, x0, p0)).samples
     assert np.array_equal(got, brute_kalman(x, q, r, x0, p0))
+
+
+@settings(deadline=None, max_examples=2000)
+@given(
+    st.sampled_from([PAPER_KALMAN, PRESET_KALMAN, SETTLED_KALMAN]),
+    st.floats(-1e6, 1e6),
+    st.integers(0, 1500),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([dsp._WARMUP_BITS, 1e-9]),
+    st.sampled_from([1, 2]),
+    st.booleans(),
+)
+@example(PAPER_KALMAN, -0.0, 600, 0, dsp._WARMUP_BITS, 1, True)
+def test_kalman_blocks_match_brute(qrp, x0, n, seed, warmup_bits, stride, signed_zeros):
+    # one block is enough for the block path, so short traces take it; a warm-up of
+    # 1e-9 bits gives one-sample blocks from a one-step guess, which nearly all fall back
+    q, r, p0 = qrp
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=n) * 10.0 ** (seed % 7 - 3)
+    if signed_zeros:
+        x = np.where(rng.random(n) < 0.5, np.copysign(0.0, x), x)
+    x = np.repeat(x, stride)[::stride]  # strided samples when stride is 2
+    with mock.patch.object(dsp, "_MIN_BLOCKS", 1), mock.patch.object(dsp, "_WARMUP_BITS", warmup_bits):
+        got = kalman_filter(SensorTrace(0.04, 0.0, x), KalmanParams(q, r, x0, p0)).samples
+    assert np.array_equal(got.view(np.int64), brute_kalman(x, q, r, x0, p0).view(np.int64))
 
 
 plain_cells = st.one_of(
