@@ -209,6 +209,8 @@ def resolve_bits(values: dict[str, str]) -> Bits:
         raise ValidationError("preamble must be at least 1 (decode delay estimation needs it)")
     if "bits.length" not in values and "bits.value" not in values:
         raise ValidationError("config: provide bits.value or bits.length")
+    if "bits.seed" in values and "bits.length" not in values:
+        raise ValidationError("config key 'bits.seed' needs bits.length, which draws the bits")
     # encode's span, which simulate's never undercuts; summed as a float, since two integers
     # within float range can add up past it
     n_bits = float(preamble) + _get(values, "bits.length", int, len(values.get("bits.value", "")))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -125,34 +125,17 @@ _MIN_BLOCKS = 64
 _WARMUP_BITS = 1.25 * 53
 
 
-def _block_plan(params: KalmanParams, n: int) -> tuple[int, float, int] | None:
-    """(s, k, width) of the lockstep blocks for an n-sample trace, or None.
-
-    ``_gains`` settles at gain k after s steps. None if k is not in (0, 1),
-    if fewer than ``_MIN_BLOCKS`` blocks of ``width`` samples follow, or if
-    the gain has not settled after n / ``_MIN_BLOCKS`` steps: so a variance
-    that cycles or settles slowly costs little here before the generator
-    takes the trace.
-    """
-    limit = n // _MIN_BLOCKS
-    gains = list(islice(_gains(params.p0, params.q, params.r), limit + 1))
-    s, k = len(gains), gains[-1]
-    if s > limit or not 0.0 < k < 1.0:
-        return None
-    # capped at n, since a tiny k gives inf; a width of n leaves no block after s
-    width = math.ceil(min(_WARMUP_BITS * math.log(2.0) / -math.log1p(-k), n))
-    return (s, k, width) if (n - s) // width >= _MIN_BLOCKS else None
-
-
 def kalman_filter(trace: SensorTrace, params: KalmanParams | None) -> SensorTrace:
     """Scalar random-walk Kalman smoother, the same floats as one step per sample.
 
     With ``params`` None it is tuned to the trace by ``default_kalman_params``.
-    Once the gain settles to k, long traces are cut into blocks of ``width``
-    samples advanced together, one step of every block per three ufunc calls.
-    Block 0 starts from the exact state. Each later block starts from 0.0 warmed
-    up over the previous block's samples, and is kept only if that start equals
-    the previous block's last output bit for bit; otherwise the generator
+    The generator takes the trace alone unless the gain settles to some k in
+    (0, 1) within n / ``_MIN_BLOCKS`` steps and ``_MIN_BLOCKS`` blocks of
+    ``width`` samples follow the transient and one more block. Then it stops
+    after that block, and the later blocks advance together, one step of every
+    block per three ufunc calls. Each starts from 0.0 warmed up over the
+    previous block's samples, and is kept only if that start equals the
+    previous block's last output bit for bit; otherwise the generator
     recomputes it from that output. Either way every output is the same
     ``x + k * (z - x)`` of the same floats as in ``_kalman_outputs``.
     """
@@ -160,31 +143,33 @@ def kalman_filter(trace: SensorTrace, params: KalmanParams | None) -> SensorTrac
         params = default_kalman_params(trace)
     z, n = trace.samples, len(trace)
     gains = _gains(params.p0, params.q, params.r)
+    ks = list(islice(gains, n // _MIN_BLOCKS + 1))  # more gains than this: not settled
+    s, k = len(ks), ks[-1]
 
-    def run(lo: int, hi: int, x: float, ks: Iterable[float]) -> np.ndarray:
-        return np.fromiter(_kalman_outputs(z[lo:hi], x, ks), float, hi - lo)
+    def run(lo: int, hi: int, x: float, gain_seq: Iterable[float]) -> np.ndarray:
+        return np.fromiter(_kalman_outputs(z[lo:hi], x, gain_seq), float, hi - lo)
 
-    plan = _block_plan(params, n)
-    if plan is None:
-        return trace.with_samples(run(0, n, params.x0, gains))
-    s, k, width = plan
-    end = n - (n - s) % width
+    blocks = 0
+    if s <= n // _MIN_BLOCKS and 0.0 < k < 1.0:
+        # capped at n, since a tiny k gives inf; a width of n leaves no block after s
+        width = math.ceil(min(_WARMUP_BITS * math.log(2.0) / -math.log1p(-k), n))
+        blocks = (n - s) // width  # the first of them is the generator's
+    if blocks <= _MIN_BLOCKS:
+        return trace.with_samples(run(0, n, params.x0, chain(ks, gains)))
+    end = s + blocks * width
     out = np.empty(n)
-    out[:s] = run(0, s, params.x0, gains)
+    out[: s + width] = run(0, s + width, params.x0, ks)
     zb = z[s:end].reshape(-1, width)
     ob = out[s:end].reshape(-1, width)  # a view: the steps write the output in place
-    start = np.zeros(len(zb))
-    start[0] = out[s - 1]
-    step = np.empty(len(zb))
-    warm, warm_step = start[1:], step[1:]
+    warm, step = np.zeros(blocks - 1), np.empty(blocks - 1)
     # overflow and inf - inf give inf and nan silently, as in the generator's Python floats
     with np.errstate(over="ignore", invalid="ignore"):
-        for zc in zb[:-1].T:  # the warm-up of blocks 1.. over the samples of blocks ..-1
-            np.subtract(zc, warm, out=warm_step)
-            np.multiply(k, warm_step, out=warm_step)
-            np.add(warm, warm_step, out=warm)
-        x = start
-        for zc, oc in zip(zb.T, ob.T):
+        for zc in zb[:-1].T:  # block j + 1 warms up over the samples of block j
+            np.subtract(zc, warm, out=step)
+            np.multiply(k, step, out=step)
+            np.add(warm, step, out=warm)
+        x = warm
+        for zc, oc in zip(zb[1:].T, ob[1:].T):
             np.subtract(zc, x, out=step)
             np.multiply(k, step, out=step)
             x = np.add(x, step, out=oc)

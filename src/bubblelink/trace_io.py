@@ -24,7 +24,7 @@ from .metrics import MatchResult, MetricsReport
 from .modem import Bits, InjectionSchedule, parse_bits, validate_bits
 from .signals import PeakSet, SensorTrace
 
-SPACING_TOLERANCE = 1e-6  # s, absorbs float printing jitter
+TIME_RESOLUTION = 1e-6  # s, the last decimal of a written time
 
 # Trace rows are formatted in blocks of BLOCK_ROWS by numpy into a matrix of
 # uint32 words, each four bytes of a row's text, and NUL bytes, which mark
@@ -178,27 +178,38 @@ def _build(path: str | os.PathLike, make: Callable, *args):
 
 
 def read_trace(path: str | os.PathLike) -> SensorTrace:
-    """Read a `time_s,amplitude` CSV, validating uniform sample spacing."""
+    """Read a `time_s,amplitude` CSV, validating uniform sample spacing.
+
+    Times rounded to ``TIME_RESOLUTION`` put each step within one resolution
+    of the true interval, so two steps can differ by two. A step that is not
+    positive or is further than 2.5 from the first is refused, which names
+    the row of a missing sample. The interval is the first step if its clock
+    reaches the last time within half a resolution, as whole microseconds do;
+    otherwise it is the span over the steps, whose clock does not drift.
+    """
     table = _read_table(path, TRACE_HEADER)
     if len(table) == 0:
         raise FormatError(f"{path}: no data rows (empty trace file)")
     if len(table) < 2:
         raise FormatError(f"{path}: at least two rows are needed to infer the sample interval")
     times = table[:, 0]
-    t0, t1 = times[:2].tolist()
+    t0, t1, last = times[[0, 1, -1]].tolist()
     if not t1 > t0:
         raise FormatError(f"{path}: row 3: times must be strictly ascending")
-    trace = _build(path, SensorTrace, t1 - t0, t0, table[:, 1].copy())
-    with np.errstate(over="ignore"):  # a step that overflows is as non-uniform as any
+    first, n = t1 - t0, len(times)
+    # a step that overflows is as non-uniform as any; if the first does, SensorTrace refuses it
+    with np.errstate(over="ignore", invalid="ignore"):
         steps = np.diff(times)
-        bad = np.flatnonzero(np.abs(steps - trace.sample_interval) > SPACING_TOLERANCE)
+        bad = np.flatnonzero((np.abs(steps - first) > 2.5 * TIME_RESOLUTION) | (steps <= 0))
     if bad.size:
         k = bad[0]
         raise FormatError(
             f"{path}: row {k + 3}: non-uniform sample spacing "
-            f"({steps[k]:.6g} s vs expected {trace.sample_interval:.6g} s)"
+            f"({steps[k]:.6g} s vs expected {first:.6g} s)"
         )
-    return trace
+    fits = abs(t0 + (n - 1) * first - last) <= 0.5 * TIME_RESOLUTION
+    interval = first if fits else (last - t0) / (n - 1)
+    return _build(path, SensorTrace, interval, t0, table[:, 1].copy())
 
 
 def _word(text: bytes) -> int:

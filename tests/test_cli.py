@@ -260,6 +260,16 @@ class TestPipeline:
         for name, digest in expected.items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
+    def test_staged_filter_reads_a_fractional_microsecond_interval(self, tmp_path):
+        # the raw trace prints steps of 0.033333 and 0.033334 s
+        out = self.run(tmp_path, "run", ["--set", "channel.sample_interval=0.0333333"])
+        maf_f = tmp_path / "maf_trace.csv"
+        assert main(["filter", "--in", str(out / "raw_trace.csv"), "--method", "maf",
+                     "--preset", "paper-like", "--out", str(maf_f)]) == 0
+        staged, piped = read_trace(maf_f), read_trace(out / "maf_trace.csv")
+        assert staged.sample_interval == piped.sample_interval == pytest.approx(0.0333333, abs=1e-9)
+        np.testing.assert_allclose(staged.samples, piped.samples, rtol=2e-8, atol=1e-8)
+
     def test_report_values_are_csv_quoted(self, tmp_path):
         out = self.run(tmp_path, "run", ["--set", "peak.threshold.raw=100"])
         with open(out / "raw_report.csv", newline="") as fh:
@@ -441,6 +451,7 @@ class TestExitCodes:
         "timing.mode=framed", "peak.threshold=0.5", "maf.window=1.5", "channel.max_samples=2.5",
         pytest.param(f"bits.length={HUGE_INT}", id="bits.length=huge"),
         pytest.param(f"channel.max_samples={HUGE_INT}", id="channel.max_samples=huge"),
+        "bits.seed=-3", "bits.seed=abc",  # the preset's bits.value draws no bits
     ])
     def test_bad_config_setting_names_key(self, tmp_path, capsys, setting):
         out = tmp_path / "out"

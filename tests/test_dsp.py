@@ -162,15 +162,28 @@ class TestKalmanFilter:
         assert_same_bits(out, brute_kalman(x, q, r, -0.0, p))
         assert np.all(np.signbit(out)) and not out.any()
 
+    @pytest.mark.parametrize("short, blocks_run", [(0, True), (1, False)], ids=["64-blocks", "63-blocks"])
+    def test_block_path_boundary(self, short, blocks_run):
+        # at the paper's tuning the gain settles at k = 0.3 after 54 steps and a block is
+        # 129 samples; the generator takes those steps and one block, and the lockstep
+        # blocks run only if _MIN_BLOCKS whole blocks follow
+        q, r, p0 = PAPER_KALMAN
+        assert len(list(dsp._gains(p0, q, r))) == 54
+        n = 54 + (1 + dsp._MIN_BLOCKS) * 129 - short
+        x = np.random.Generator(np.random.PCG64(31)).normal(size=n)
+        out, stepped = filtered_and_stepped(make_trace(x), KalmanParams(q, r, 0.5, p0))
+        assert_same_bits(out, brute_kalman(x, q, r, 0.5, p0))
+        assert stepped == (54 + 129 if blocks_run else n)
+
     def test_every_block_falling_back(self):
         # one-sample blocks whose warm-up is one step from 0.0 never match, so the
-        # generator recomputes each but block 0, which starts from the exact state
+        # generator recomputes each after its own transient and block
         x = np.random.Generator(np.random.PCG64(30)).normal(size=300)
         q, r, p0 = PAPER_KALMAN
         with mock.patch.object(dsp, "_MIN_BLOCKS", 1), mock.patch.object(dsp, "_WARMUP_BITS", 1e-9):
             out, stepped = filtered_and_stepped(make_trace(x), KalmanParams(q, r, 0.5, p0))
         assert_same_bits(out, brute_kalman(x, q, r, 0.5, p0))
-        assert stepped == len(x) - 1
+        assert stepped == len(x)
 
     def test_block_path_overflow_raises_like_the_generator(self):
         # z - x overflows to inf, then inf - inf gives nan: silently in the generator's Python

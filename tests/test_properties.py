@@ -74,6 +74,7 @@ from bubblelink.trace_io import (
     TRACE_HEADER,
     _read_table,
     read_bits,
+    read_trace,
     write_bits,
     write_comparison,
     write_peaks,
@@ -301,6 +302,26 @@ def test_write_traces_match_per_row_format(tmp_path_factory, n, seed, dt, t0):
         assert path.read_bytes() == per_row_trace_csv(trace.samples, dt, t0).encode()
 
 
+# near 1 us, a time half-way between two microseconds can print as its neighbour does
+@PROPERTY
+@given(st.floats(1.1e-6, 10.0), st.floats(-1e4, 1e4), st.integers(2, 3000))
+@example(dt=1 / 3, t0=0.0, n=1000)  # printed steps of 0.333333 and 0.333334 s
+@example(dt=1 / 7, t0=0.0, n=1000)
+@example(dt=0.0333333, t0=0.0, n=690)
+@example(dt=0.04, t0=5e-7, n=1000)  # every time a 6-decimal tie, so two steps differ by 2 us
+@example(dt=1.5e-6, t0=0.0, n=1000)
+@example(dt=1e-6, t0=0.0, n=1000)
+def test_read_trace_reads_back_any_interval_from_a_microsecond(tmp_path_factory, dt, t0, n):
+    path = tmp_path_factory.getbasetemp() / "any_interval.csv"
+    trace = SensorTrace(dt, t0, np.arange(n, dtype=float))
+    write_trace(trace, path)
+    back = read_trace(path)
+    # the first and last printed times are within 0.5 us of the clock's, and the
+    # clock read back reaches the last within 0.5 us more
+    assert np.max(np.abs(back.bin_starts() - trace.bin_starts())) <= 1.5e-6 + 1e-9
+    assert np.array_equal(back.samples, trace.samples)
+
+
 def test_write_traces_splice_fallback_rows_inside_a_block(tmp_path):
     n = 2 * BLOCK_ROWS + 3
     plain = np.linspace(0.1, 0.9, n)
@@ -450,8 +471,9 @@ def test_kalman_filter_matches_brute(qrp, x0, n, seed):
 )
 @example(PAPER_KALMAN, -0.0, 600, 0, dsp._WARMUP_BITS, 1, True)
 def test_kalman_blocks_match_brute(qrp, x0, n, seed, warmup_bits, stride, signed_zeros):
-    # one block is enough for the block path, so short traces take it; a warm-up of
-    # 1e-9 bits gives one-sample blocks from a one-step guess, which nearly all fall back
+    # one block after the generator's is enough for the block path, so short traces take
+    # it; a warm-up of 1e-9 bits gives one-sample blocks from a one-step guess, which
+    # nearly all fall back
     q, r, p0 = qrp
     rng = np.random.default_rng(seed)
     x = rng.normal(size=n) * 10.0 ** (seed % 7 - 3)

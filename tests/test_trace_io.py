@@ -43,6 +43,29 @@ class TestTraceFiles:
         with pytest.raises(FormatError, match="row 4"):
             read_trace(p)
 
+    @pytest.mark.parametrize("interval", [1 / 3, 0.04])
+    def test_missing_sample_names_its_row(self, tmp_path, interval):
+        p = tmp_path / "t.csv"
+        write_trace(SensorTrace(interval, 0.0, np.zeros(1000)), p)
+        lines = p.read_text().splitlines(keepends=True)
+        del lines[500]  # so the step into row 501 spans two intervals
+        p.write_text("".join(lines))
+        with pytest.raises(FormatError, match="row 501: non-uniform sample spacing"):
+            read_trace(p)
+
+    def test_repeated_time_is_non_uniform(self, tmp_path):
+        # 0.7 us steps print as 0 or 1 us; a 0 us step is within 2.5 us of the first
+        p = tmp_path / "t.csv"
+        write_trace(SensorTrace(7e-7, 0.0, np.ones(5)), p)
+        with pytest.raises(FormatError, match=r"row 4: non-uniform sample spacing \(0 s"):
+            read_trace(p)
+
+    def test_whole_microseconds_keep_the_first_step(self, tmp_path):
+        # the span over 57,743 steps is 0.04 less one ulp; the first step is 0.04
+        p = tmp_path / "t.csv"
+        write_trace(SensorTrace(0.04, 0.0, np.ones(57_744)), p)
+        assert read_trace(p).sample_interval == 0.04
+
     def test_non_numeric_cell_names_row_and_column(self, tmp_path):
         p = tmp_path / "t.csv"
         p.write_text("time_s,amplitude\n0.00,0.0\n0.04,oops\n")
