@@ -60,7 +60,7 @@ def cmd_encode(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    params = cfgmod.build_channel(_values(args))
+    params = cfgmod.section(_values(args), "channel")
     schedule = trace_io.read_schedule(args.schedule)
     trace_io.write_trace(simulate(schedule, params), args.out)
     return 0

@@ -11,15 +11,15 @@ Example::
 
 The `paper-like` preset ships with the package (``presets/paper_like.cfg``)
 and carries the calibrated channel and detector settings used by the
-acceptance scenarios. The environment variable ``BUBBLELINK_SEED``
-overrides ``channel.rng_seed``.
+acceptance scenarios. ``merge_values`` is the one merge of settings; its last
+layer, the environment variable ``BUBBLELINK_SEED``, sets ``channel.rng_seed``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
 from importlib import resources
 
 import numpy as np
@@ -131,18 +131,6 @@ def section(values: dict[str, str], name: str, **defaults):
                                defaults.get(f.name, f.default)) for f in fields(cls)})
 
 
-def build_channel(values: dict[str, str]) -> ChannelParams:
-    channel = section(values, "channel")
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is None:
-        return channel
-    try:
-        seed = int(env_seed)
-    except ValueError:
-        raise ValidationError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from None
-    return replace(channel, rng_seed=seed)  # replace re-runs ChannelParams' checks
-
-
 def _samples_in(seconds: float, sample_interval: float) -> int:
     """Whole samples in ``seconds``, at least one."""
     samples = seconds / sample_interval
@@ -209,18 +197,20 @@ def resolve_bits(values: dict[str, str]) -> Bits:
         raise ValidationError("preamble must be at least 1 (decode delay estimation needs it)")
     if "bits.length" not in values and "bits.value" not in values:
         raise ValidationError("config: provide bits.value or bits.length")
+    if "bits.length" in values and "bits.value" in values:
+        raise ValidationError("config: bits.value and bits.length are both set; give one of them")
     if "bits.seed" in values and "bits.length" not in values:
         raise ValidationError("config key 'bits.seed' needs bits.length, which draws the bits")
     # encode's span, which simulate's never undercuts; summed as a float, since two integers
     # within float range can add up past it
     n_bits = float(preamble) + _get(values, "bits.length", int, len(values.get("bits.value", "")))
-    sample_count(n_bits * section(values, "timing").symbol_duration, build_channel(values))
+    sample_count(n_bits * section(values, "timing").symbol_duration, section(values, "channel"))
     return [1] * preamble + _resolve_payload(values)
 
 
 def build_config(values: dict[str, str]) -> ExperimentConfig:
     bits = resolve_bits(values)  # first, so a run over the sample cap reaches no other resolver
-    channel = build_channel(values)
+    channel = section(values, "channel")
     return ExperimentConfig(
         timing=section(values, "timing"),
         channel=channel,
@@ -240,25 +230,28 @@ def merge_values(
     preset: str | None = None,
     overrides: dict[str, str] | None = None,
 ) -> dict[str, str]:
-    """Merge preset, then config file, then overrides into one key=value dict.
+    """Fold the preset, the config file, the overrides and ``BUBBLELINK_SEED`` into one dict.
 
-    Override keys replace base keys; setting ``bits.length`` in the overrides
-    discards any ``bits.value`` from the base (and vice versa). A key not in
-    ``KNOWN_KEYS`` is rejected, so a misspelt key cannot be silently ignored.
+    Each layer's keys replace earlier ones; the variable is the layer ``{"channel.rng_seed":
+    value}``. A layer's ``bits.length`` discards an earlier ``bits.value``, and its
+    ``bits.value`` an earlier ``bits.length`` and ``bits.seed``. A key not in ``KNOWN_KEYS``
+    is rejected, so a misspelt key cannot be silently ignored.
     """
-    values: dict[str, str] = {}
-    if preset is not None:
-        values.update(parse_config_text(preset_text(preset)))
+    layers = [parse_config_text(preset_text(preset))] if preset is not None else []
     if path is not None:
         with open_text(path) as fh:
-            values.update(parse_config_text(fh.read()))
-    if overrides:
-        if "bits.length" in overrides:
+            layers.append(parse_config_text(fh.read()))
+    layers.append(overrides or {})
+    if SEED_ENV_VAR in os.environ:
+        layers.append({"channel.rng_seed": os.environ[SEED_ENV_VAR]})
+    values: dict[str, str] = {}
+    for layer in layers:
+        if "bits.length" in layer:
             values.pop("bits.value", None)
-        if "bits.value" in overrides:
+        if "bits.value" in layer:
             values.pop("bits.length", None)
             values.pop("bits.seed", None)
-        values.update(overrides)
+        values.update(layer)
     unknown = sorted(set(values) - KNOWN_KEYS)
     if unknown:
         raise ValidationError(f"config: unknown key {', '.join(map(repr, unknown))}")

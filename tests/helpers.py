@@ -1,13 +1,13 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
 These deliberately share no code with the library: plateau scanning,
-suppression, matching, the Kalman recursion, echo passes, spike draws and
-CSV reading are re-derived from their definitions so the library
-implementations are checked against a second, exhaustive path. The
-``loop_*`` oracles check bit strings, schedules and peak sets, and match
-peaks, one element at a time: the references for the library's bulk numpy
-checks. ``peaks_at`` is the one exception: it builds library peak sets as
-test input.
+suppression, matching, the Kalman recursion, echo passes, spike draws, CSV
+reading and the config layer merge are re-derived from their definitions
+so the library implementations are checked against a second, exhaustive
+path. The ``loop_*`` oracles check bit strings, schedules and peak sets,
+and match peaks, one element at a time: the references for the library's
+bulk numpy checks. ``peaks_at`` is the one exception: it builds library
+peak sets as test input.
 """
 
 import csv
@@ -375,3 +375,20 @@ def loop_match(truth_events, det_times, tolerance):
             pairs.append((tt, det_times[best]))
     tp = len(pairs)
     return tp, len(det_times) - tp, len(truth_times) - tp, tuple(pairs)
+
+
+# the keys that a config layer's payload key discards from the layers before it
+PAYLOAD_DISCARDS = {"bits.length": {"bits.value"}, "bits.value": {"bits.length", "bits.seed"}}
+
+
+def fold_layers(layers):
+    """The merged key=value dict of ``layers``, earliest first, one key at a time: a
+    key takes its value from the last layer that sets it, and is dropped if a later
+    layer sets a payload key that discards it."""
+    merged = {}
+    for key in {key for layer in layers for key in layer}:
+        last = max(i for i, layer in enumerate(layers) if key in layer)
+        later_keys = set().union(*layers[last + 1:])
+        if not any(key in PAYLOAD_DISCARDS.get(k, ()) for k in later_keys):
+            merged[key] = layers[last][key]
+    return merged

@@ -190,6 +190,37 @@ class TestPipeline:
         b = self.run(tmp_path, "b", bits)
         assert not filecmp.cmp(a / "raw_trace.csv", b / "raw_trace.csv", shallow=False)
 
+    def test_env_seed_beats_set_seed(self, tmp_path, monkeypatch):
+        bits = ["--set", "bits.value=101100"]
+        a = self.run(tmp_path, "a", bits + ["--set", "channel.rng_seed=7"])
+        monkeypatch.setenv("BUBBLELINK_SEED", "7")
+        b = self.run(tmp_path, "b", bits + ["--set", "channel.rng_seed=43"])
+        assert (a / "raw_trace.csv").read_bytes() == (b / "raw_trace.csv").read_bytes()
+
+    def test_staged_simulate_honours_env_seed(self, tmp_path, monkeypatch):
+        schedule = tmp_path / "s.csv"
+        assert main(["encode", "--bits", "101", "--t-on", "0.3", "--t-off", "2.0",
+                     "--out", str(schedule)]) == 0
+
+        def simulate(name, *extra):
+            out = tmp_path / name
+            assert main(["simulate", "--schedule", str(schedule), "--preset", "paper-like",
+                         *extra, "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        seed_7, seed_42 = simulate("a.csv", "--set", "channel.rng_seed=7"), simulate("b.csv")
+        monkeypatch.setenv("BUBBLELINK_SEED", "7")
+        assert simulate("c.csv") == seed_7 != seed_42
+
+    def test_first_peak_before_half_t_on_clamps_the_delay(self, tmp_path, capsys):
+        # the sensor sits 0.1 mm downstream, so the raw trace's first peak comes before t_on/2
+        out = self.run(tmp_path, "run", NOISELESS + [
+            "--set", "channel.distance_to_sensor=0.0001", "--set", "bits.value=1011"])
+        report = read_report(out / "raw_report.csv")
+        assert report["decode_delay"] == "0"
+        assert report["warning"] == "estimated delay was negative; clamped to 0"
+        assert "raw: warning: estimated delay was negative; clamped to 0" in capsys.readouterr().err
+
     def test_composability_with_subcommands(self, tmp_path):
         """The staged commands, given the preset and no numeric stage flag, rebuild every branch."""
         out = self.run(tmp_path, "run")
@@ -535,6 +566,34 @@ class TestExitCodes:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, env_seed, rc, message", [
+        ("pipeline --preset paper-like --set bits.length=10 --set bits.value=101 --out-dir {out}",
+         None, 2, "bits.value and bits.length are both set"),
+        ("pipeline --preset paper-like --config {both} --out-dir {out}",
+         None, 2, "bits.value and bits.length are both set"),
+        ("pipeline --preset paper-like --out-dir {out}",
+         HUGE_INT + "9", 2, f"config key 'channel.rng_seed': '{HUGE_INT}9' is not finite"),
+        ("pipeline --preset paper-like --set channel.rng_seed=abc --out-dir {out}", "5", 0, None),
+        ("pipeline --preset paper-like --out-dir {out}",
+         "abc", 2, "config key 'channel.rng_seed': cannot parse 'abc' as an integer"),
+        ("filter --in {trace} --method maf --preset paper-like --out {out}", "abc", 0, None),
+    ], ids=["set-both-payload-keys", "file-both-payload-keys", "env-seed-huge",
+            "env-seed-replaces-set-seed", "env-seed-abc-pipeline", "env-seed-abc-filter"])
+    def test_config_layers_exit_codes(self, tmp_path, capsys, monkeypatch, argv, env_seed, rc,
+                                      message):
+        both, trace_f = tmp_path / "both.cfg", tmp_path / "t.csv"
+        both.write_text("bits.value=1\nbits.length=5\n")
+        write_trace(SensorTrace(0.04, 0.0, np.abs(np.sin(np.arange(100) / 5))), trace_f)
+        if env_seed is not None:
+            monkeypatch.setenv("BUBBLELINK_SEED", env_seed)
+        out = tmp_path / "out"
+        assert main([a.format(both=both, trace=trace_f, out=out) for a in argv.split()]) == rc
+        if message is None:
+            assert out.exists()
+        else:
+            assert message in capsys.readouterr().err
+            assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
         "pipeline --preset paper-like --set bits.length=1{zeros} --out-dir {out}",

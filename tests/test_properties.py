@@ -3,8 +3,9 @@ spikes, the windowed and searchsorted receive chain and the settled-gain and
 lockstep-block Kalman filter against brute-force references in ``helpers``
 that check every pass, sample, spike or peak, the block-formatted CSV writer
 against per-row ``str.format`` text, the CSV table reader against a
-row-by-row ``csv.reader`` reference, and the bulk bit, schedule, peak-set
-and match checks against the per-element ``loop_*`` references."""
+row-by-row ``csv.reader`` reference, the bulk bit, schedule, peak-set and
+match checks against the per-element ``loop_*`` references, and the config
+layer merge against a key-by-key fold."""
 
 import csv
 import os
@@ -29,6 +30,7 @@ from helpers import (
     brute_kalman,
     brute_spikes,
     csv_reader_table,
+    fold_layers,
     full_axis_signal,
     kalman_settled_variance,
     loop_bit_line,
@@ -47,7 +49,7 @@ from helpers import (
 )
 from bubblelink import channel, dsp, trace_io
 from bubblelink.channel import ChannelParams, clean_signal, echo_passes, echo_table, sample_count, simulate
-from bubblelink.config import load_config
+from bubblelink.config import load_config, merge_values, parse_config_text, preset_text
 from bubblelink.dsp import (
     KalmanParams,
     PeakDetectParams,
@@ -707,3 +709,33 @@ def test_match_peaks_matches_bisect_loop(data, step, tolerance):
         return m.tp, m.fp, m.fn, m.pairs
 
     same_outcome(bulk, loop_match, events, detections, tolerance)
+
+
+# the payload keys, the key that BUBBLELINK_SEED sets and one plain key
+MERGE_KEYS = ("bits.value", "bits.length", "bits.seed", "channel.rng_seed", "dose")
+LAYERS = st.dictionaries(st.sampled_from(MERGE_KEYS), st.integers(0, 99).map(str))
+
+
+@settings(deadline=None, max_examples=300)
+@given(preset=st.booleans(), file_layer=st.none() | LAYERS, overrides=LAYERS,
+       env_seed=st.none() | st.integers(0, 99).map(str))
+@example(preset=True, file_layer={"bits.value": "1", "bits.length": "5"}, overrides={},
+         env_seed=None)
+@example(preset=True, file_layer={"bits.length": "5", "bits.seed": "3"},
+         overrides={"bits.value": "1"}, env_seed="8")
+def test_merge_values_matches_per_layer_fold(tmp_path_factory, preset, file_layer, overrides,
+                                             env_seed):
+    layers = [parse_config_text(preset_text("paper-like"))] if preset else []
+    path = None
+    if file_layer is not None:
+        path = tmp_path_factory.getbasetemp() / "layer.cfg"
+        path.write_text("".join(f"{key}={value}\n" for key, value in file_layer.items()))
+        layers.append(file_layer)
+    layers.append(overrides)
+    env = {}
+    if env_seed is not None:
+        env = {"BUBBLELINK_SEED": env_seed}
+        layers.append({"channel.rng_seed": env_seed})
+    with mock.patch.dict(os.environ, env):
+        merged = merge_values(path, "paper-like" if preset else None, overrides)
+    assert merged == fold_layers(layers)
