@@ -81,7 +81,7 @@ class InjectionSchedule:
         object.__setattr__(self, "events", named_rows(InjectionEvent, table))
 
     def __len__(self) -> int:
-        return len(self.events)
+        return len(self.table)
 
     def shifted(self, offset: float) -> "InjectionSchedule":
         """Schedule with every event start moved by ``offset`` seconds; the span stays >= 0."""

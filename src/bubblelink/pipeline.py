@@ -53,7 +53,7 @@ def _run_branch(
     # the first detected peak is taken as the preamble bolus.
     warning = None
     if len(peaks) > 0:
-        delay = peaks.peaks[0].time - cfg.timing.t_on / 2
+        delay = float(peaks.table[0, 0]) - cfg.timing.t_on / 2
         if delay < 0:
             warning = "estimated delay was negative; clamped to 0"
             delay = 0.0

@@ -50,8 +50,8 @@ def render_svg(
     ]
 
     if truth is not None:
-        for e in truth.events:
-            x0, x1 = sx(e.start), sx(e.start + e.duration)
+        for start, duration, _ in truth.table.tolist():
+            x0, x1 = sx(start), sx(start + duration)
             parts.append(
                 f'<rect x="{_fmt(x0)}" y="{MARGIN}" width="{_fmt(max(x1 - x0, 1.0))}" '
                 f'height="{HEIGHT - 2 * MARGIN}" fill="{TRUTH_COLOR}" opacity="0.3"/>\n'
@@ -63,9 +63,9 @@ def render_svg(
     )
 
     if peaks is not None:
-        for p in peaks.peaks:
+        for time, amplitude in peaks.table.tolist():
             parts.append(
-                f'<circle cx="{_fmt(sx(p.time))}" cy="{_fmt(sy(p.amplitude))}" r="4" '
+                f'<circle cx="{_fmt(sx(time))}" cy="{_fmt(sy(amplitude))}" r="4" '
                 f'fill="none" stroke="{PEAK_COLOR}" stroke-width="2"/>\n'
             )
 

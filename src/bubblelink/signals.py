@@ -94,4 +94,4 @@ class PeakSet:
         object.__setattr__(self, "peaks", named_rows(Peak, table))
 
     def __len__(self) -> int:
-        return len(self.peaks)
+        return len(self.table)

@@ -32,9 +32,10 @@ TIME_RESOLUTION = 1e-6  # s, the last decimal of a written time
 # the time and the value: the header is written without its LF, and one LF
 # ends the file. Each field is as wide as its widest text in the block, with
 # the digits at fixed places around the point and NUL where a shorter number
-# has none, so a row below 10,000 s with a value in [0, 10) takes 7 words. A
-# number is formatted there only where its correctly rounded digits are
-# certain; the others get Python's own %-format, spliced into their row's cells.
+# has none, so a row below 10,000 s takes 7 words. numpy formats a number only
+# if its sign bit is clear, a value is below 10 (the rows that traces hold) and
+# its correctly rounded digits are certain; any other number gets Python's own
+# %-format, spliced into its row's cells.
 BLOCK_ROWS = 4096  # at 8,192 rows, page faults on each block's larger arrays made writing no faster
 _DIGITS = 10_000  # entries of each 4-digit word table
 _TRAIL, _LEAD, _PLAIN = range(3)  # rows of _digit_words()
@@ -42,15 +43,13 @@ _TRAIL, _LEAD, _PLAIN = range(3)  # rows of _digit_words()
 # midpoint between integers: 32 times the error of one float multiply.
 _CERTAIN = 2.0**-48
 # At index e + _E0, over every exponent e of a finite double: 10**(8 - e),
-# which scales a value to nine digits before the point, 10**(e + 4), the place
-# of its ninth digit in units of 1e-12, and 10**(9 - e), the place of its tens
-# digit in units of its ninth, for the exponents -4..8 of %g's fixed
-# notation; else 0, 0 and 1.
+# which scales a value to nine digits before the point, and 10**(e + 4), the
+# place of its ninth digit in units of 1e-12, for the exponents -4..0 of the
+# values below 10 that %g prints in fixed notation; else 0 and 0.
 _E0 = 324
-_PLACE = np.zeros((3, _E0 + 309))
-_PLACE[2] = 1.0
-_FIXED = np.arange(-4, 9, dtype=np.int64)  # the exponents of %g's fixed notation
-_PLACE[:, _E0 - 4 : _E0 + 9] = 10 ** np.stack([8 - _FIXED, _FIXED + 4, 9 - _FIXED])
+_PLACE = np.zeros((2, _E0 + 309))
+_FIXED = np.arange(-4, 1, dtype=np.int64)
+_PLACE[:, _E0 - 4 : _E0 + 1] = 10 ** np.stack([8 - _FIXED, _FIXED + 4])
 
 _BIT_TEXT = bytes.maketrans(b"\0\1", b"01")  # bytes 0 and 1 as the characters "0" and "1"
 
@@ -236,15 +235,14 @@ def _digit_words() -> np.ndarray:
 def _point_words() -> tuple[np.ndarray, np.ndarray]:
     """The words that hold a number's units digit and its point.
 
-    For times, "u.dd" at ``u * 100 + dd``. For values, at ``more * 1100 +
-    tens * 100 + u * 10 + d``: the tens digit ``tens - 1`` (NUL where ``tens``
-    is 0), the units digit ``u``, and the point and first decimal ``d``,
-    which are NUL where ``d`` and ``more``, the flag of later decimals, are 0.
+    For times, "u.dd" at ``u * 100 + dd``. For values, at ``more * 100 + u *
+    10 + d``: NUL, the units digit ``u``, then the point and first decimal
+    ``d``, NUL where ``d`` and ``more``, the flag of later decimals, are 0.
     """
     times = b"".join(b"%d.%02d" % divmod(k, 100) for k in range(1000))
     values = b"".join(
-        (b"%d" % (tens - 1) if tens else b"\0") + b"%d" % u + (b".%d" % d if d or more else b"\0\0")
-        for more in (0, 1) for tens in range(11) for u in range(10) for d in range(10)
+        b"\0%d" % u + (b".%d" % d if d or more else b"\0\0")
+        for more in (0, 1) for u in range(10) for d in range(10)
     )
     return np.frombuffer(times, np.uint32), np.frombuffer(values, np.uint32)
 
@@ -290,11 +288,9 @@ def _time_words(t: np.ndarray) -> np.ndarray:
     point = low // 10**4
     _high_words(out[:-2], high)
     out[0] |= np.uint32(_word(b"\n"))
-    if np.signbit(t[0]):  # a sign follows the LF
-        out[0] |= np.signbit(t).view(np.uint8) * np.uint32(_word(b"\0-"))
     _take(_point_words()[0], point, out[-2])
     _take(_digit_words()[_PLAIN], low - point * 10**4, out[-1])
-    rows = np.flatnonzero(0.5 - np.abs(s - r) <= s * _CERTAIN)
+    rows = np.flatnonzero((0.5 - np.abs(s - r) <= s * _CERTAIN) | np.signbit(t))
     _splice(out, rows, [b"\n%.6f" % x for x in t[rows].tolist()])
     return out
 
@@ -302,39 +298,25 @@ def _time_words(t: np.ndarray) -> np.ndarray:
 def _trace_block(time_words: np.ndarray, v: np.ndarray) -> np.ndarray:
     """``time_words`` over the words of "," and ``%.9g`` of each value.
 
-    The value field ends in a word with the tens digit, the units digit, the
-    point and decimal 1, then three words of decimals 2-12. Any words before
-    it hold the comma, the sign and the digits above the tens; in a field of
-    four words the comma takes the tens digit's byte. Values print 12
-    decimals at most in fixed notation, so one field layout serves them all.
+    numpy formats a value in [0, 10) whose sign bit is clear and leaves any
+    other to ``_splice``. The field ends in a word of a NUL (the comma's byte),
+    the units digit, the point and decimal 1, then three words of decimals 2-12.
     """
-    neg = np.signbit(v)
-    signed = bool(neg.any())
-    a = np.abs(v) if signed else v
-    zero = a == 0
-    x = np.fmax(a, 1e-320)  # zero's exponent is out of range, and its digits come out as "0"
+    x = np.fmax(v, 1e-320)  # the exponent of zero and of a negative is out of range
     np.log10(x, out=x)
     x += _E0
     i = x.astype(np.intp)  # e + _E0 for the decimal exponent e
     s = _PLACE[0].take(i)
-    s *= a  # nine digits before the point, if e is right
+    s *= v  # nine digits before the point, if e is right
     r = np.rint(s)
-    # a carry into exponent 9 is 1e+09 in %g
-    certain = (s >= 1e8) & (s < 999_999_999.5) & (0.5 - np.abs(s - r) > s * _CERTAIN) | zero
+    # a carry into exponent 1 prints "10"; +0.0's digits come out as "0"
+    certain = (s >= 1e8) & (s < 999_999_999.5) & (0.5 - np.abs(s - r) > s * _CERTAIN)
+    certain |= (v == 0) & ~np.signbit(v)
     rows = np.flatnonzero(~certain)
     texts = [b",%.9g" % y for y in v[rows].tolist()]
-    if a.max() < 9.99999999:  # every whole part is its units digit
-        whole_digits, high = 1, None
-    else:
-        place = _PLACE[2].take(i)
-        high = np.floor(r / place)  # the whole part but its units digit
-        r -= high * place
-        high = high.astype(np.int64)
-        whole_digits = len(str(10 * int(np.max(high, where=certain, initial=0))))
     r *= _PLACE[1].take(i)
     n = r.astype(np.int64)  # the units digit and 12 decimals
-    longest = max(map(len, texts), default=0)
-    width = max((whole_digits + signed + 6) // 4 + 3, (longest + 3) // 4)
+    width = max(4, (max(map(len, texts), default=0) + 3) // 4)
     block = np.empty((len(time_words) + width, len(v)), np.uint32)
     block[: len(time_words)] = time_words
     out = block[len(time_words) :]
@@ -350,17 +332,9 @@ def _trace_block(time_words: np.ndarray, v: np.ndarray) -> np.ndarray:
     _take(words, d2 + np.sign(low) * (_PLAIN * _DIGITS), out[-3])
     _take(words, d6 + np.sign(d10) * (_PLAIN * _DIGITS), out[-2])
     _take(words, d10 * 10, out[-1])
-    index = point + np.sign(d2 | low) * 1100
     out[:-4] = 0
-    if high is not None:
-        above = high // 10
-        index = index + (high - above * 10 + np.sign(high)) * 100  # the tens digit + 1, if any
-        if len(out) > 4:
-            _high_words(out[:-4], above)
-    _take(_point_words()[1], index, out[-4])
+    _take(_point_words()[1], point + np.sign(d2 | low) * 100, out[-4])
     out[0] |= np.uint32(_word(b","))
-    if signed:  # a sign follows the comma
-        out[0] |= neg.view(np.uint8) * np.uint32(_word(b"\0-"))
     _splice(out, rows, texts)
     return block
 
@@ -402,7 +376,7 @@ def read_schedule(path: str | os.PathLike) -> InjectionSchedule:
 
 
 def write_schedule(schedule: InjectionSchedule, path: str | os.PathLike) -> None:
-    _write_table(path, SCHEDULE_HEADER, "%.6f,%.6f,%.9g", schedule.events)
+    _write_table(path, SCHEDULE_HEADER, "%.6f,%.6f,%.9g", schedule.table.tolist())
 
 
 def read_peaks(path: str | os.PathLike) -> PeakSet:
@@ -410,7 +384,7 @@ def read_peaks(path: str | os.PathLike) -> PeakSet:
 
 
 def write_peaks(peaks: PeakSet, path: str | os.PathLike) -> None:
-    _write_table(path, PEAKS_HEADER, "%.6f,%.9g", peaks.peaks)
+    _write_table(path, PEAKS_HEADER, "%.6f,%.9g", peaks.table.tolist())
 
 
 def write_comparison(reports: Mapping[str, MetricsReport], path: str | os.PathLike) -> None:

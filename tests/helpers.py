@@ -236,25 +236,29 @@ def per_row_trace_csv(samples, sample_interval, t0):
 
 
 def uncertain_times(times):
-    """How many ``times`` the trace writer leaves to Python's %.6f: those whose
-    microseconds (of at most 9e8 s) lie within 2**-48 (relative) of a rounding
-    midpoint."""
-    scaled = (min(abs(t), 9e8) * 1e6 for t in map(float, times))
-    return sum(not 0.5 - abs(s - round(s)) > s * 2.0**-48 for s in scaled)
+    """How many ``times`` the trace writer leaves to Python's %.6f: those with
+    the sign bit set, -0.0 included, and those whose microseconds (of at most
+    9e8 s) lie within 2**-48 (relative) of a rounding midpoint."""
+    count = 0
+    for t in map(float, times):
+        s = min(t, 9e8) * 1e6
+        count += math.copysign(1.0, t) < 0 or not 0.5 - abs(s - round(s)) > s * 2.0**-48
+    return count
 
 
 def uncertain_values(samples):
     """How many ``samples`` the trace writer leaves to Python's %.9g: all but
-    zero and the values whose exact decimal exponent is in -4..8, where %g
-    prints fixed notation, and whose nine digits before the point neither
-    round up to ten digits nor lie within 2**-48 (relative) of a rounding
-    midpoint."""
+    +0.0 and the values in [0, 10) whose exact decimal exponent is in -4..0,
+    where %g prints fixed notation, and whose nine digits before the point
+    neither round up to ten digits nor lie within 2**-48 (relative) of a
+    rounding midpoint. A negative, -0.0 and a value of 10 or more are all
+    left to Python."""
     count = 0
-    for x in map(abs, map(float, samples)):
+    for x in map(float, samples):
         e = int(f"{x:.16e}".partition("e")[2])
-        s = x * 10.0 ** (8 - e) if -4 <= e <= 8 else 0.0
+        s = x * 10.0 ** (8 - e) if -4 <= e <= 0 else 0.0
         certain = 1e8 <= s < 999_999_999.5 and 0.5 - abs(s - round(s)) > s * 2.0**-48
-        count += not (x == 0 or certain)
+        count += not (x == 0 and math.copysign(1.0, x) > 0 or certain)
     return count
 
 

@@ -339,6 +339,19 @@ class TestPlot:
         assert main(["plot", "--trace", str(trace_f), "--peaks", str(peaks_f), "--out", str(out)]) == 0
         assert out.read_text().count("<circle") == 2
 
+    def test_truth_spans_and_peak_markers_of_a_pipeline_run(self, tmp_path):
+        run = tmp_path / "run"
+        assert main(["pipeline", "--preset", "paper-like", "--out-dir", str(run)]) == 0
+        out = tmp_path / "o.svg"
+        assert main(["plot", "--trace", str(run / "raw_trace.csv"), "--peaks", str(run / "raw_peaks.csv"),
+                     "--truth", str(run / "schedule.csv"), "--out", str(out)]) == 0
+        text = out.read_text()
+        assert text.count("<rect") == 1 + len(read_schedule(run / "schedule.csv")) == 51
+        assert text.count("<circle") == len(read_peaks(run / "raw_peaks.csv")) == 91
+        # the SVG pinned as the renderer drew it from the peaks' and events' named tuples
+        digest = "e7ae8fa4e3d7c85e80ebb5ccea1355d4d8f4f206e6b9343ac221f01a3e89d5b9"
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
 
 class TestExitCodes:
     def test_missing_file_is_io_error(self, tmp_path):

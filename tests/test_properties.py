@@ -255,10 +255,13 @@ KERNEL_EDGES = [
     0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
 ]
 
-# the edges, floats where %.9g prints fixed notation, and any float
+# the edges, floats where %.9g prints fixed notation, floats either side of the
+# ends of the kernel's domain [0, 10), and any float
 amplitudes = st.one_of(
     st.sampled_from(KERNEL_EDGES),
     st.floats(1e-4, 1e9).flatmap(lambda x: st.sampled_from([x, -x])),
+    st.floats(9.9, 10.1),
+    st.floats(-1e-3, 1e-3),
     st.floats(-1e300, 1e300),
 )
 
@@ -344,18 +347,26 @@ def plain_values(n):
     return np.random.default_rng(n).random(n) * 9.9
 
 
-@pytest.mark.parametrize("edge", [
-    9.9999999995,  # carries to 10
-    10.0,  # widens the value field
-    1e-4, 9.99999999e-5,  # either side of exponent notation
-    -0.0, -0.5, -1.23456789e-100,  # a sign, and a 17-byte text
-])
-def test_write_trace_edge_inside_a_plain_block(tmp_path, edge):
+# a value at an edge of the kernel's domain [0, 10), and the rows it leaves to Python's %
+PLAIN_BLOCK_EDGES = [
+    (9.99999999, 0), (0.0, 0),  # the largest value and the one zero that numpy formats
+    (9.999999995, 1), (9.9999999995, 1), (10.0, 1),  # rounds to or is 10, which %g prints as "10"
+    (1e-4, 0), (9.99999999e-5, 1),  # either side of exponent notation
+    (-0.0, 1), (-1e-9, 1), (-0.5, 1), (-1.23456789e-100, 1),  # a sign, and a 17-byte text
+]
+
+
+@pytest.mark.parametrize("edge, spliced", PLAIN_BLOCK_EDGES, ids=[str(e) for e, _ in PLAIN_BLOCK_EDGES])
+def test_write_trace_edge_inside_a_plain_block(tmp_path, monkeypatch, edge, spliced):
     samples = plain_values(BLOCK_ROWS + 5)
     samples[BLOCK_ROWS // 3] = edge
+    rows, splice = [], trace_io._splice
+    monkeypatch.setattr(trace_io, "_splice", lambda out, r, texts: (
+        rows.append(r.size), splice(out, r, texts)))
     path = tmp_path / "edge.csv"
     write_trace(SensorTrace(0.04, 0.0, samples), path)
     assert path.read_bytes() == per_row_trace_csv(samples, 0.04, 0.0).encode()
+    assert sum(rows) == spliced
 
 
 @pytest.mark.parametrize("power", [10.0, 1000.0, 10_000.0])
@@ -379,10 +390,25 @@ def test_write_trace_ends_a_long_time_base(tmp_path):
         assert fh.read() == (tail + "\n").encode()
 
 
-@pytest.mark.parametrize("overrides", [
+# the preset, and a 1,000-bit payload as the long-record benchmark workload sends
+WORKLOAD_CONFIGS = pytest.mark.parametrize("overrides", [
     {},
     {"bits.length": "1000", "bits.seed": "3", "channel.rng_seed": "3"},
 ], ids=["paper-like", "1000-bits"])
+
+
+@WORKLOAD_CONFIGS
+def test_workload_traces_stay_in_the_trace_kernel_domain(overrides):
+    result = run_experiment(load_config(preset="paper-like", overrides=overrides))
+    for name, branch in result.branches.items():
+        times, x = branch.trace.bin_starts(), branch.trace.samples
+        assert not np.signbit(times).any() and not np.signbit(x).any() and x.max() < 10, (
+            f"the {name} trace holds a negative time or a value outside [0, 10), which the "
+            "trace writer splices row by row with Python's %; give such traces a benchmark "
+            "workload before the writer gets a numpy path for them")
+
+
+@WORKLOAD_CONFIGS
 def test_write_traces_splice_only_uncertain_numbers(tmp_path, monkeypatch, overrides):
     result = run_experiment(load_config(preset="paper-like", overrides=overrides))
     traces = [branch.trace for branch in result.branches.values()]
@@ -392,11 +418,14 @@ def test_write_traces_splice_only_uncertain_numbers(tmp_path, monkeypatch, overr
     write_traces({tmp_path / f"{k}.csv": trace for k, trace in enumerate(traces)})
     expected = uncertain_times(traces[0].bin_starts()) + sum(uncertain_values(t.samples) for t in traces)
     assert sum(spliced) == expected
-    # wider times and values widen their fields; no row that fits them is spliced
+    # 39,000 s times widen their field and are formatted by numpy; the x1000
+    # values of 10 and more, outside the kernel's [0, 10), are spliced
     scaled = SensorTrace(0.04, 39_000.0, traces[0].samples * 1000)
     spliced.clear()
     write_trace(scaled, tmp_path / "scaled.csv")
-    assert sum(spliced) == uncertain_times(scaled.bin_starts()) + uncertain_values(scaled.samples)
+    times, values = spliced[0::2], spliced[1::2]  # each block splices its times, then its values
+    assert sum(times) == uncertain_times(scaled.bin_starts()) == 0
+    assert sum(values) == uncertain_values(scaled.samples) >= np.count_nonzero(scaled.samples >= 10) > 0
     expected_text = per_row_trace_csv(scaled.samples, 0.04, 39_000.0)
     assert (tmp_path / "scaled.csv").read_bytes() == expected_text.encode()
 

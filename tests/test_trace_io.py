@@ -183,22 +183,20 @@ def test_digit_word_tables_match_their_definitions():
     assert tables[_TRAIL].tobytes() == "".join(trailing_nul).encode()
 
 
-def point_word(more, tens, units, first):
-    """The bytes of %.9g text from the tens digit to the first decimal, for a
-    number whose whole part ends in ``tens - 1`` and ``units`` (below 10 if
-    ``tens`` is 0) and whose decimals are ``first``, then 1 if ``more``."""
-    whole = units if tens == 0 else 100 + 10 * (tens - 1) + units
-    text = b"%.9g" % (whole + first / 10 + more / 100)
-    integer, _, decimals = text.partition(b".")
-    return integer[-2:].rjust(2, b"\0") + (b"." + decimals[:1] if decimals else b"\0\0")
+def point_word(more, units, first):
+    """The bytes of %.9g text from the units digit to the first decimal, after
+    a NUL, for a number below 10 whose units digit is ``units`` and whose
+    decimals are ``first``, then 1 if ``more``."""
+    integer, _, decimals = (b"%.9g" % (units + first / 10 + more / 100)).partition(b".")
+    return b"\0" + integer + (b"." + decimals[:1] if decimals else b"\0\0")
 
 
 def test_point_word_tables_match_their_definitions():
     times, values = _point_words()
     assert times.tobytes() == b"".join(b"%.2f" % (k / 100) for k in range(1000))
+    assert len(values) == 200
     assert values.tobytes() == b"".join(
-        point_word(more, tens, units, first)
-        for more in (0, 1) for tens in range(11) for units in range(10) for first in range(10)
+        point_word(more, units, first) for more in (0, 1) for units in range(10) for first in range(10)
     )
 
 
