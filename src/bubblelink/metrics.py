@@ -45,30 +45,19 @@ def match_peaks(detected: PeakSet, truth: InjectionSchedule, tolerance: float) -
     los = np.searchsorted(detections, mids - 2 * tolerance, side="left").tolist()
     his = np.searchsorted(detections, mids + 2 * tolerance, side="right").tolist()
     truth_times, det_times = mids.tolist(), detections.tolist()
-    matched = [False] * len(det_times)
+    free = [True] * len(det_times)
     pairs = []
     for tt, lo, hi in zip(truth_times, los, his):
-        best = None
-        best_key = None
-        for j in range(lo, hi):
-            if matched[j]:
-                continue
+        best = best_dist = None
+        for j in range(lo, hi):  # ascending, so the earlier of two equal distances stays
             dist = abs(det_times[j] - tt)
-            if dist > tolerance:
-                continue
-            key = (dist, det_times[j])
-            if best_key is None or key < best_key:
-                best, best_key = j, key
+            if free[j] and dist <= tolerance and (best is None or dist < best_dist):
+                best, best_dist = j, dist
         if best is not None:
-            matched[best] = True
+            free[best] = False
             pairs.append((tt, det_times[best]))
     tp = len(pairs)
-    return MatchResult(
-        tp=tp,
-        fp=len(det_times) - tp,
-        fn=len(truth_times) - tp,
-        pairs=tuple(pairs),
-    )
+    return MatchResult(tp, len(det_times) - tp, len(truth_times) - tp, tuple(pairs))
 
 
 def f1_score(m: MatchResult) -> tuple[float, float, float]:

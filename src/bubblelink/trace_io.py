@@ -33,9 +33,10 @@ TIME_RESOLUTION = 1e-6  # s, the last decimal of a written time
 # ends the file. Each field is as wide as its widest text in the block, with
 # the digits at fixed places around the point and NUL where a shorter number
 # has none, so a row below 10,000 s takes 7 words. numpy formats a number only
-# if its sign bit is clear, a value is below 10 (the rows that traces hold) and
-# its correctly rounded digits are certain; any other number gets Python's own
-# %-format, spliced into its row's cells.
+# if its sign bit is clear, a time rounds below 100,000 s and a value below 10
+# (the rows that traces hold), and its correctly rounded digits are certain; any
+# other number gets Python's own %-format, spliced into its row's cells. Table
+# lookups clip their index, since only a spliced number can index past a table.
 BLOCK_ROWS = 4096  # at 8,192 rows, page faults on each block's larger arrays made writing no faster
 _DIGITS = 10_000  # entries of each 4-digit word table
 _TRAIL, _LEAD, _PLAIN = range(3)  # rows of _digit_words()
@@ -247,26 +248,6 @@ def _point_words() -> tuple[np.ndarray, np.ndarray]:
     return np.frombuffer(times, np.uint32), np.frombuffer(values, np.uint32)
 
 
-def _take(words: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
-    """``out[k] = words[index[k]]``; an index past the table, which only a
-    number left to ``_splice`` can give, is clipped to it."""
-    words.take(index, out=out, mode="clip")
-
-
-def _high_words(out: np.ndarray, n: np.ndarray) -> None:
-    """The whole numbers ``n`` (below 1e8) right-aligned in the rows of ``out``,
-    leading zeros as NUL; a number that fits leaves the first byte NUL."""
-    words = _digit_words().ravel()
-    if len(out) == 1:
-        _take(words, n + _LEAD * _DIGITS, out[0])
-        return
-    hi = n // 10**4
-    out[:-2] = 0
-    _take(words, hi + _LEAD * _DIGITS, out[-2])
-    # _PLAIN is _LEAD + 1: plain after nonzero digits
-    _take(words, n - hi * 10**4 + (_LEAD + np.sign(hi)) * _DIGITS, out[-1])
-
-
 def _splice(out: np.ndarray, rows: np.ndarray, texts: list[bytes]) -> None:
     """Overwrite the ``rows`` (columns of ``out``) with their ``texts``."""
     if rows.size:
@@ -280,17 +261,18 @@ def _time_words(t: np.ndarray) -> np.ndarray:
     times ascend and rounding is monotone, is the first or last time's."""
     widest = max(len(b"%.6f" % x) for x in (t[0], t[-1]))
     out = np.empty((max(3, widest // 4 + 1), len(t)), np.uint32)
-    s = np.fmin(np.abs(t), 9e8) * 1e6  # no rounding is certain from 1.4e8 s on; 9e8 fits the words
+    s = np.fmin(np.abs(t), 1e5) * 1e6  # a time that rounds to 100,000 s or more is spliced
     r = np.rint(s)
     n = r.astype(np.int64)
     high = n // 10**7  # the whole seconds but their units digit
     low = (n - high * 10**7).astype(np.int32)
     point = low // 10**4
-    _high_words(out[:-2], high)
+    out[:-3] = 0
+    _digit_words()[_LEAD].take(high, out=out[-3], mode="clip")
     out[0] |= np.uint32(_word(b"\n"))
-    _take(_point_words()[0], point, out[-2])
-    _take(_digit_words()[_PLAIN], low - point * 10**4, out[-1])
-    rows = np.flatnonzero((0.5 - np.abs(s - r) <= s * _CERTAIN) | np.signbit(t))
+    _point_words()[0].take(point, out=out[-2], mode="clip")
+    _digit_words()[_PLAIN].take(low - point * 10**4, out=out[-1], mode="clip")
+    rows = np.flatnonzero((0.5 - np.abs(s - r) <= s * _CERTAIN) | np.signbit(t) | (r >= 1e11))
     _splice(out, rows, [b"\n%.6f" % x for x in t[rows].tolist()])
     return out
 
@@ -329,11 +311,11 @@ def _trace_block(time_words: np.ndarray, v: np.ndarray) -> np.ndarray:
     d10 = low - d6 * 1000
     words = _digit_words().ravel()
     # plain words while nonzero digits follow, then trailing zeros as NUL
-    _take(words, d2 + np.sign(low) * (_PLAIN * _DIGITS), out[-3])
-    _take(words, d6 + np.sign(d10) * (_PLAIN * _DIGITS), out[-2])
-    _take(words, d10 * 10, out[-1])
+    words.take(d2 + np.sign(low) * (_PLAIN * _DIGITS), out=out[-3], mode="clip")
+    words.take(d6 + np.sign(d10) * (_PLAIN * _DIGITS), out=out[-2], mode="clip")
+    words.take(d10 * 10, out=out[-1], mode="clip")
     out[:-4] = 0
-    _take(_point_words()[1], point + np.sign(d2 | low) * 100, out[-4])
+    _point_words()[1].take(point + np.sign(d2 | low) * 100, out=out[-4], mode="clip")
     out[0] |= np.uint32(_word(b","))
     _splice(out, rows, texts)
     return block

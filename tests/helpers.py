@@ -237,12 +237,13 @@ def per_row_trace_csv(samples, sample_interval, t0):
 
 def uncertain_times(times):
     """How many ``times`` the trace writer leaves to Python's %.6f: those with
-    the sign bit set, -0.0 included, and those whose microseconds (of at most
-    9e8 s) lie within 2**-48 (relative) of a rounding midpoint."""
+    the sign bit set, -0.0 included, those that round to 100,000 s or more, and
+    those whose microseconds lie within 2**-48 (relative) of a rounding midpoint."""
     count = 0
     for t in map(float, times):
-        s = min(t, 9e8) * 1e6
-        count += math.copysign(1.0, t) < 0 or not 0.5 - abs(s - round(s)) > s * 2.0**-48
+        s = min(t, 1e5) * 1e6
+        count += (math.copysign(1.0, t) < 0 or round(s) >= 10**11
+                  or not 0.5 - abs(s - round(s)) > s * 2.0**-48)
     return count
 
 

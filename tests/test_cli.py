@@ -427,15 +427,28 @@ class TestExitCodes:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def evaluate_shifted(self, tmp_path, shift):
+    def evaluate_shifted(self, tmp_path, shift, *extra):
         """Score a one-peak file against the 5-bit schedule of 10110, shifted by ``shift``."""
         schedule_f, peaks_f, out = tmp_path / "s.csv", tmp_path / "p.csv", tmp_path / "r.csv"
         assert main(["encode", "--bits", "10110", "--t-on", "0.3", "--t-off", "2.0",
                      "--out", str(schedule_f)]) == 0
         peaks_f.write_text("time_s,amplitude\n0.3,1.0\n")
         rc = main(["evaluate", "--peaks", str(peaks_f), "--truth", str(schedule_f),
-                   "--truth-shift", shift, "--out", str(out)])
+                   "--truth-shift", shift, *extra, "--out", str(out)])
         return rc, out
+
+    def test_peaks_total_is_the_ber_denominator(self, tmp_path):
+        rc, out = self.evaluate_shifted(tmp_path, "0", "--peaks-total", "100")
+        assert rc == 0
+        report = read_report(out)
+        assert (report["tp"], report["fp"], report["fn"]) == ("1", "0", "2")
+        assert (report["peaks_total"], report["ber"]) == ("100", "0.02")
+
+    def test_zero_peaks_total_exits_2(self, tmp_path, capsys):
+        rc, out = self.evaluate_shifted(tmp_path, "0", "--peaks-total", "0")
+        assert rc == 2
+        assert "BER is undefined for peaks_total <= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_truth_shift_past_the_span_scores(self, tmp_path):
         # the last event ends at 7.2 s, so the shifted span would be negative; it clamps at 0

@@ -265,9 +265,9 @@ amplitudes = st.one_of(
     st.floats(-1e300, 1e300),
 )
 
-# start times: ordinary, past the kernel's range (1.4e8 s) and with texts
-# wider than its time cells
-start_times = st.one_of(st.floats(-1e4, 1e4), st.floats(-1e30, 1e30))
+# start times: ordinary, either side of the end of the kernel's range
+# (100,000 s), and with texts wider than its time cells
+start_times = st.one_of(st.floats(-1e4, 1e4), st.floats(9.9e4, 1.01e5), st.floats(-1e30, 1e30))
 
 
 # empty, one row, either side of one block boundary, and past two
@@ -369,13 +369,28 @@ def test_write_trace_edge_inside_a_plain_block(tmp_path, monkeypatch, edge, spli
     assert sum(rows) == spliced
 
 
-@pytest.mark.parametrize("power", [10.0, 1000.0, 10_000.0])
+@pytest.mark.parametrize("power", [10.0, 1000.0, 10_000.0, 100_000.0])
 def test_write_trace_times_crossing_a_power_of_ten(tmp_path, power):
     samples = plain_values(BLOCK_ROWS)
     t0 = power - 100 * 0.04  # 100 rows before it, inside the first block
     path = tmp_path / "crossing.csv"
     write_trace(SensorTrace(0.04, t0, samples), path)
     assert path.read_bytes() == per_row_trace_csv(samples, 0.04, t0).encode()
+
+
+# the times from 100,000 s on are spliced: 100 rows before it, and a start that
+# rounds to it, so that every time prints at least "100000.000000"
+@pytest.mark.parametrize("t0, spliced", [(99_996.0, 4900), (99_999.9999996, 5000)])
+def test_write_trace_splices_times_from_100000_s(tmp_path, monkeypatch, t0, spliced):
+    samples = plain_values(5000)
+    sizes, splice = [], trace_io._splice
+    monkeypatch.setattr(trace_io, "_splice", lambda out, rows, texts: (
+        sizes.append(rows.size), splice(out, rows, texts)))
+    trace, path = SensorTrace(0.04, t0, samples), tmp_path / "late.csv"
+    write_trace(trace, path)
+    assert path.read_bytes() == per_row_trace_csv(samples, 0.04, t0).encode()
+    times = sizes[0::2]  # each block splices its times, then its values
+    assert sum(times) == uncertain_times(trace.bin_starts()) == spliced
 
 
 def test_write_trace_ends_a_long_time_base(tmp_path):
@@ -402,8 +417,12 @@ def test_workload_traces_stay_in_the_trace_kernel_domain(overrides):
     result = run_experiment(load_config(preset="paper-like", overrides=overrides))
     for name, branch in result.branches.items():
         times, x = branch.trace.bin_starts(), branch.trace.samples
-        assert not np.signbit(times).any() and not np.signbit(x).any() and x.max() < 10, (
-            f"the {name} trace holds a negative time or a value outside [0, 10), which the "
+        assert not np.signbit(times).any() and times.max() < 1e5, (
+            f"the {name} trace holds a time outside [0, 100,000 s), which the trace writer "
+            "splices row by row with Python's %; give such traces a benchmark workload "
+            "before the writer gets a numpy path for them")
+        assert not np.signbit(x).any() and x.max() < 10, (
+            f"the {name} trace holds a value outside [0, 10), which the "
             "trace writer splices row by row with Python's %; give such traces a benchmark "
             "workload before the writer gets a numpy path for them")
 
