@@ -509,12 +509,23 @@ class TestExitCodes:
         pytest.param(f"bits.length={HUGE_INT}", id="bits.length=huge"),
         pytest.param(f"channel.max_samples={HUGE_INT}", id="channel.max_samples=huge"),
         "bits.seed=-3", "bits.seed=abc",  # the preset's bits.value draws no bits
+        "dose=1.7e308",  # finite, but the overlapping echoes sum past the largest float
     ])
     def test_bad_config_setting_names_key(self, tmp_path, capsys, setting):
         out = tmp_path / "out"
         rc = main(["pipeline", "--preset", "paper-like", "--set", setting, "--out-dir", str(out)])
         assert rc == 2
         assert repr(setting.partition("=")[0]) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_spikes_name_their_settings(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc = main(["pipeline", "--preset", "paper-like", "--set", "channel.spike_amplitude_max=1e308",
+                   "--set", "channel.spike_rate=5", "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        for key in ("dose", "channel.noise_std", "channel.spike_amplitude_max"):
+            assert repr(key) in err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [

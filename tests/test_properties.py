@@ -72,6 +72,7 @@ from bubblelink.pipeline import run_experiment
 from bubblelink.signals import Peak, PeakSet, SensorTrace
 from bubblelink.trace_io import (
     BLOCK_ROWS,
+    PEAKS_HEADER,
     SCHEDULE_HEADER,
     TRACE_HEADER,
     _read_table,
@@ -459,6 +460,48 @@ def test_write_traces_refuses_mismatched_time_bases(tmp_path, other):
     with pytest.raises(ValidationError, match="must share t0, sample_interval and length"):
         write_traces({paths[0]: SensorTrace(0.04, 0.0, np.ones(5)), paths[1]: other})
     assert not any(p.exists() for p in paths)
+
+
+# ascending peak times from below 0 to past 100,000 s, scaled to print alike
+# (1e-7) or wider than the kernel's time cells (1e15)
+peak_times = st.tuples(
+    st.floats(-1e5, 2e5), st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=16),
+    st.sampled_from([1.0, 1e-7, 1e15]),
+)
+
+
+@settings(deadline=None, max_examples=int(os.environ.get("WRITE_TRACE_EXAMPLES", "30")))
+@given(block_lengths, peak_times, st.lists(amplitudes, min_size=1, max_size=16))
+@example(n=BLOCK_ROWS + 1, times=(-3.0, [0.5], 1.0), values=KERNEL_EDGES)
+def test_write_peaks_matches_per_row_format(tmp_path_factory, n, times, values):
+    t0, steps, scale = times
+    table = np.empty((n, 2))
+    table[:, 0] = (t0 + np.cumsum(np.resize(np.array(steps), n))) * scale
+    table[:, 1] = np.resize(np.array(values), n)
+    path = tmp_path_factory.getbasetemp() / "peaks.csv"
+    write_peaks(PeakSet(table), path)
+    assert path.read_bytes() == per_row_csv(PEAKS_HEADER, "{:.6f},{:.9g}", table.tolist()).encode()
+
+
+# durations that rise and fall across 10,000 s, so a block's widest duration
+# text can lie between its first and last; doses are positive
+durations = st.lists(st.one_of(st.floats(1e-6, 10.0), st.floats(9.9e3, 1.01e5)), min_size=1, max_size=16)
+doses = amplitudes.map(abs).filter(bool)
+
+
+@settings(deadline=None, max_examples=int(os.environ.get("WRITE_TRACE_EXAMPLES", "30")))
+@given(block_lengths, st.floats(-1e5, 2e5), durations, st.lists(doses, min_size=1, max_size=16))
+@example(n=BLOCK_ROWS + 1, t0=0.0, durations=[0.3, 12345.6, 2.0], doses=[5e-324, 10.0, 1e300])
+def test_write_schedule_matches_per_row_format(tmp_path_factory, n, t0, durations, doses):
+    table = np.empty((n, 3))
+    table[:, 1] = np.resize(np.array(durations), n)
+    table[:, 2] = np.resize(np.array(doses), n)
+    # each event starts 1 ms or more after the one before it ends
+    table[:, 0] = t0 + np.concatenate([[0.0], np.cumsum(table[:-1, 1] + 1e-3)])
+    path = tmp_path_factory.getbasetemp() / "schedule.csv"
+    write_schedule(InjectionSchedule(table, 0.0), path)
+    expected = per_row_csv(SCHEDULE_HEADER, "{:.6f},{:.6f},{:.9g}", table.tolist())
+    assert path.read_bytes() == expected.encode()
 
 
 def test_small_tables_match_per_row_format(tmp_path):
