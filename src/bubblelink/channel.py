@@ -202,10 +202,10 @@ def simulate(schedule: InjectionSchedule, params: ChannelParams) -> SensorTrace:
         raise ResourceLimitError(f"channel.spike_rate={params.spike_rate:g} would draw about {spikes:g}"
                                  f" spikes, over the channel.max_samples cap of {params.max_samples}")
     clock = SensorTrace(sample_interval=dt, t0=0.0, samples=np.zeros(n))
-    rng = np.random.Generator(np.random.PCG64(params.rng_seed))
-    # a sum past the largest float is inf and inf - inf nan, silently: the check below names the settings
+    # overflow gives inf, and inf - inf nan, silently: SensorTrace's finite check refuses them
     with np.errstate(over="ignore", invalid="ignore"):
         x = clean_signal(table, clock.bin_centers())
+        rng = np.random.Generator(np.random.PCG64(params.rng_seed))
         if params.noise_std > 0:
             x = x + params.noise_std * _gaussian_deviates(rng, n)
         if params.spike_rate > 0:
@@ -214,7 +214,8 @@ def simulate(schedule: InjectionSchedule, params: ChannelParams) -> SensorTrace:
             bins = np.minimum((u[0::2] * n).astype(np.int64), n - 1)
             np.add.at(x, bins, params.spike_amplitude_max * (1.0 - u[1::2]))  # in (0, max]
         np.maximum(x, 0.0, out=x)
-    if not np.isfinite(x).all():
+    try:
+        return clock.with_samples(x)
+    except ValidationError:
         raise ValidationError("the simulated trace overflows the float range; lower 'dose', "
-                              "'channel.noise_std' or 'channel.spike_amplitude_max'")
-    return clock.with_samples(x)
+                              "'channel.noise_std' or 'channel.spike_amplitude_max'") from None

@@ -25,15 +25,13 @@ from .signals import PeakSet, SensorTrace
 
 TIME_RESOLUTION = 1e-6  # s, the last decimal of a written time
 
-# Every numeric table (traces, peaks and schedules) is written by one kernel:
-# its rows are formatted in blocks of BLOCK_ROWS by numpy into a matrix of
+# Trace rows are formatted in blocks of BLOCK_ROWS by numpy into a matrix of
 # uint32 words, each four bytes of a row's text, and NUL bytes, which mark
 # unused cells, are deleted before the block is written. A row is its LF, then
-# its times and its value, comma-separated: the header is written without its
-# LF, and one LF ends the file. Each field is as wide as its widest text in
-# the block, with the digits at fixed places around the point and NUL where a
-# shorter number has none, so a trace row below 10,000 s takes 7 words. Reports
-# and comparisons go through one csv.writer. numpy formats a number only
+# the time and the value: the header is written without its LF, and one LF
+# ends the file. Each field is as wide as its widest text in the block, with
+# the digits at fixed places around the point and NUL where a shorter number
+# has none, so a row below 10,000 s takes 7 words. numpy formats a number only
 # if its sign bit is clear, a time rounds below 100,000 s and a value below 10
 # (the rows that traces hold), and its correctly rounded digits are certain; any
 # other number gets Python's own %-format, spliced into its row's cells. Table
@@ -155,6 +153,17 @@ def _read_table(path: str | os.PathLike, header: list[str]) -> np.ndarray:
     return np.array(cells).reshape(-1, len(header))
 
 
+def _write_table(path: str | os.PathLike, header: list[str], row_format: str,
+                 table: np.ndarray) -> None:
+    """Write a header row, then the %-style ``row_format`` over each row of
+    ``table`` and LF, as one %-format of the repeated line over its cells. It
+    serves peaks and schedules: at a paper-like run's 50-90 rows, the trace
+    kernel's hundred-odd numpy calls a pass cost more than this one call."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.write((row_format + "\n") * len(table) % tuple(table.ravel().tolist()))
+
+
 def _build(path: str | os.PathLike, make: Callable, *args):
     """``make(*args)`` for a table read from ``path``; a ValidationError becomes a
     FormatError that names the file."""
@@ -242,11 +251,11 @@ def _splice(out: np.ndarray, rows: np.ndarray, texts: list[bytes]) -> None:
         out[:, rows] = np.frombuffer(text, np.uint32).reshape(rows.size, len(out)).T
 
 
-def _time_words(t: np.ndarray, lead: bytes) -> np.ndarray:
-    """``lead`` and ``%.6f`` of each time, in a matrix with a row per word and a
+def _time_words(t: np.ndarray) -> np.ndarray:
+    """LF and ``%.6f`` of each time, in a matrix with a row per word and a
     column per time. Its width is that of the block's widest text, which, as
-    rounding is monotone, is the smallest or the largest time's."""
-    widest = max(len(b"%.6f" % x) for x in (t.min(), t.max()))
+    times ascend and rounding is monotone, is the first or last time's."""
+    widest = max(len(b"%.6f" % x) for x in (t[0], t[-1]))
     out = np.empty((max(3, widest // 4 + 1), len(t)), np.uint32)
     s = np.fmin(np.abs(t), 1e5) * 1e6  # a time that rounds to 100,000 s or more is spliced
     r = np.rint(s)
@@ -256,16 +265,16 @@ def _time_words(t: np.ndarray, lead: bytes) -> np.ndarray:
     point = low // 10**4
     out[:-3] = 0
     _digit_words()[_LEAD].take(high, out=out[-3], mode="clip")
-    out[0] |= np.uint32(_word(lead))
+    out[0] |= np.uint32(_word(b"\n"))
     _point_words()[0].take(point, out=out[-2], mode="clip")
     _digit_words()[_PLAIN].take(low - point * 10**4, out=out[-1], mode="clip")
     rows = np.flatnonzero((0.5 - np.abs(s - r) <= s * _CERTAIN) | np.signbit(t) | (r >= 1e11))
-    _splice(out, rows, [lead + b"%.6f" % x for x in t[rows].tolist()])
+    _splice(out, rows, [b"\n%.6f" % x for x in t[rows].tolist()])
     return out
 
 
-def _trace_block(time_words: Sequence[np.ndarray], v: np.ndarray) -> np.ndarray:
-    """The ``time_words`` matrices over the words of "," and ``%.9g`` of each value.
+def _trace_block(time_words: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``time_words`` over the words of "," and ``%.9g`` of each value.
 
     numpy formats a value in [0, 10) whose sign bit is clear and leaves any
     other to ``_splice``. The field ends in a word of a NUL (the comma's byte),
@@ -278,18 +287,17 @@ def _trace_block(time_words: Sequence[np.ndarray], v: np.ndarray) -> np.ndarray:
     s = _PLACE[0].take(i)
     s *= v  # nine digits before the point, if e is right
     r = np.rint(s)
-    # a carry into exponent 1 prints "10"; +0.0, whose bits are all 0, comes out as "0"
+    # a carry into exponent 1 prints "10"; +0.0's digits come out as "0"
     certain = (s >= 1e8) & (s < 999_999_999.5) & (0.5 - np.abs(s - r) > s * _CERTAIN)
-    certain |= v.view(np.int64) == 0
+    certain |= (v == 0) & ~np.signbit(v)
     rows = np.flatnonzero(~certain)
     texts = [b",%.9g" % y for y in v[rows].tolist()]
     r *= _PLACE[1].take(i)
     n = r.astype(np.int64)  # the units digit and 12 decimals
     width = max(4, (max(map(len, texts), default=0) + 3) // 4)
-    lead = sum(map(len, time_words))
-    block = np.empty((lead + width, len(v)), np.uint32)
-    np.concatenate(time_words, out=block[:lead])
-    out = block[lead:]
+    block = np.empty((len(time_words) + width, len(v)), np.uint32)
+    block[: len(time_words)] = time_words
+    out = block[len(time_words) :]
     n7 = n // 10**7
     low = (n - n7 * 10**7).astype(np.int32)  # decimals 6-12
     n7 = n7.astype(np.int32)
@@ -309,37 +317,30 @@ def _trace_block(time_words: Sequence[np.ndarray], v: np.ndarray) -> np.ndarray:
     return block
 
 
-def _write_columns(paths: Iterable[str | os.PathLike], header: list[str],
-                   times: Sequence[np.ndarray], values: Sequence[np.ndarray]) -> None:
-    """Write to each path the header, then per row ``%.6f`` of each of the
-    ``times`` and ``%.9g`` of the path's column of ``values``, comma-separated
-    and ended by LF. The time columns are formatted once for all the files."""
-    with ExitStack() as stack:
-        files = [stack.enter_context(open(p, "wb")) for p in paths]
-        for fh in files:
-            fh.write(",".join(header).encode())
-        for a in range(0, len(times[0]), BLOCK_ROWS):
-            time_words = [_time_words(t[a : a + BLOCK_ROWS], b"," if k else b"\n")
-                          for k, t in enumerate(times)]
-            for fh, v in zip(files, values):
-                block = _trace_block(time_words, v[a : a + BLOCK_ROWS])
-                fh.write(block.T.tobytes().translate(None, b"\0"))
-        for fh in files:
-            fh.write(b"\n")
-
-
 def write_traces(traces: Mapping[str | os.PathLike, SensorTrace]) -> None:
-    """Write each trace to its path as `time_s,amplitude` rows.
+    """Write each trace to its path; the time column is formatted once for all of them.
 
     The traces must share ``t0``, ``sample_interval`` and length, or a
-    ValidationError is raised before any file is opened.
+    ValidationError is raised before any file is opened. Each file holds
+    exactly the text of ``"%.6f,%.9g\n"`` over its rows, written with each
+    row's LF before it: the header goes without its LF, and one LF ends the file.
     """
     bases = {(t.t0, t.sample_interval, len(t)) for t in traces.values()}
     if len(bases) != 1:
         raise ValidationError(f"traces written together must share t0, sample_interval and "
                               f"length; got {sorted(bases)}")
     times = next(iter(traces.values())).bin_starts()
-    _write_columns(traces, TRACE_HEADER, [times], [t.samples for t in traces.values()])
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(p, "wb")) for p in traces]
+        for fh in files:
+            fh.write(",".join(TRACE_HEADER).encode())
+        for a in range(0, len(times), BLOCK_ROWS):
+            time_words = _time_words(times[a : a + BLOCK_ROWS])
+            for fh, trace in zip(files, traces.values()):
+                block = _trace_block(time_words, trace.samples[a : a + BLOCK_ROWS])
+                fh.write(block.T.tobytes().translate(None, b"\0"))
+        for fh in files:
+            fh.write(b"\n")
 
 
 def write_trace(trace: SensorTrace, path: str | os.PathLike) -> None:
@@ -353,8 +354,7 @@ def read_schedule(path: str | os.PathLike) -> InjectionSchedule:
 
 
 def write_schedule(schedule: InjectionSchedule, path: str | os.PathLike) -> None:
-    start, duration, dose = schedule.table.T
-    _write_columns([path], SCHEDULE_HEADER, [start, duration], [dose])
+    _write_table(path, SCHEDULE_HEADER, "%.6f,%.6f,%.9g", schedule.table)
 
 
 def read_peaks(path: str | os.PathLike) -> PeakSet:
@@ -362,7 +362,7 @@ def read_peaks(path: str | os.PathLike) -> PeakSet:
 
 
 def write_peaks(peaks: PeakSet, path: str | os.PathLike) -> None:
-    _write_columns([path], PEAKS_HEADER, [peaks.table[:, 0]], [peaks.table[:, 1]])
+    _write_table(path, PEAKS_HEADER, "%.6f,%.9g", peaks.table)
 
 
 def write_comparison(reports: Mapping[str, MetricsReport], path: str | os.PathLike) -> None:
@@ -406,8 +406,14 @@ def write_report(
 ) -> None:
     """Write a `key,value` report: the nine metric rows, then ``extra`` rows."""
     _write_rows(fh, ["key", "value"], [
-        ("tp", match.tp), ("fp", match.fp), ("fn", match.fn),
-        ("precision", report.precision), ("recall", report.recall), ("f1", report.f1),
-        ("ber", report.ber), ("bsr", report.bsr), ("peaks_total", report.peaks_total),
+        ("tp", match.tp),
+        ("fp", match.fp),
+        ("fn", match.fn),
+        ("precision", report.precision),
+        ("recall", report.recall),
+        ("f1", report.f1),
+        ("ber", report.ber),
+        ("bsr", report.bsr),
+        ("peaks_total", report.peaks_total),
         *extra,
     ])

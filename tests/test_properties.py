@@ -462,8 +462,10 @@ def test_write_traces_refuses_mismatched_time_bases(tmp_path, other):
     assert not any(p.exists() for p in paths)
 
 
-# ascending peak times from below 0 to past 100,000 s, scaled to print alike
-# (1e-7) or wider than the kernel's time cells (1e15)
+# Peaks and schedules go through `%` row templates, not the trace kernel; these
+# tests hold for either writer, at its block edges and with the numbers it splices.
+# Ascending peak times from below 0 to past 100,000 s, scaled to print alike
+# (1e-7) or wider than the kernel's time field (1e15).
 peak_times = st.tuples(
     st.floats(-1e5, 2e5), st.lists(st.floats(1e-6, 1e3), min_size=1, max_size=16),
     st.sampled_from([1.0, 1e-7, 1e15]),
@@ -483,8 +485,8 @@ def test_write_peaks_matches_per_row_format(tmp_path_factory, n, times, values):
     assert path.read_bytes() == per_row_csv(PEAKS_HEADER, "{:.6f},{:.9g}", table.tolist()).encode()
 
 
-# durations that rise and fall across 10,000 s, so a block's widest duration
-# text can lie between its first and last; doses are positive
+# durations that rise and fall across 10,000 s, not ascending as a trace's times
+# do, so their widest text can lie between the first and last; doses are positive
 durations = st.lists(st.one_of(st.floats(1e-6, 10.0), st.floats(9.9e3, 1.01e5)), min_size=1, max_size=16)
 doses = amplitudes.map(abs).filter(bool)
 
