@@ -42,8 +42,10 @@ class ChannelParams:
     max_samples: int = 1_000_000
 
     def __post_init__(self):
-        if not (self.flow_rate > 0 and self.tube_diameter > 0):
-            raise ValidationError("flow_rate and tube_diameter must be positive")
+        velocity = mean_flow_velocity(self.flow_rate, self.tube_diameter)
+        if not 0 < velocity < math.inf:
+            raise ValidationError(f"'channel.flow_rate' and 'channel.tube_diameter' give a mean "
+                                  f"flow velocity of {velocity:g} m/s, not finite and positive")
         if not 0 < self.distance_to_sensor <= self.loop_length:
             raise ValidationError("require 0 < distance_to_sensor <= loop_length")
         if not 0 <= self.pass_decay < 1:
@@ -61,14 +63,22 @@ class ChannelParams:
         if self.rng_seed < 0:
             raise ValidationError("rng_seed must be non-negative")
 
+    def pass_delay(self, k):
+        """Seconds from injection to the sensor on loop pass ``k``, a number or an array."""
+        velocity = mean_flow_velocity(self.flow_rate, self.tube_diameter)  # not stored: fields only
+        return (self.distance_to_sensor + k * self.loop_length) / velocity
+
 
 def mean_flow_velocity(flow_rate: float, tube_diameter: float) -> float:
     """Mean velocity in m/s for a volumetric flow (L/min) through a tube (m)."""
     if not (flow_rate > 0 and tube_diameter > 0):
         raise ValidationError("flow_rate and tube_diameter must be positive")
     q = flow_rate * 1e-3 / 60.0  # m^3/s
-    area = math.pi * tube_diameter**2 / 4.0
-    return q / area
+    try:
+        area = math.pi * tube_diameter**2 / 4.0
+    except OverflowError:  # an area past the float range: the velocity rounds to 0
+        return 0.0
+    return q / area if area else math.inf
 
 
 def echo_table(
@@ -83,22 +93,26 @@ def echo_table(
     its trace would be refused anyway, and the table grows with its passes.
     ``simulate`` builds it once per trace; its span and ``clean_signal`` both read it.
     """
-    v = mean_flow_velocity(params.flow_rate, params.tube_diameter)
     start, duration, dose = schedule.table.T
     floor = params.echo_cutoff * dose
     mid = start + duration / 2
     decay = [1.0]  # pass_decay**k, one more k while some event is still above its floor
     while params.pass_decay > 0 and decay[-1] > 0 and (keep := dose * decay[-1] >= floor).any():
         k = len(decay) - 1  # pass k is kept, so its latest centre must fit under the cap
-        latest = float(mid[keep].max()) + (params.distance_to_sensor + k * params.loop_length) / v
+        latest = float(mid[keep].max()) + params.pass_delay(k)
         sample_count(latest, params)  # raises as simulate's count of the longer span would
         decay.append(params.pass_decay ** len(decay))
     amp = dose[:, None] * np.array(decay)
     kept = np.logical_and.accumulate(amp >= floor[:, None], axis=1)  # until the first drop
     event, k = np.nonzero(kept)
-    transit = (params.distance_to_sensor + k * params.loop_length) / v
-    center = mid[event] + transit
-    sigma = params.initial_spread + params.dispersion_coeff * np.sqrt(center - start[event])
+    center = mid[event] + params.pass_delay(k)
+    # a sigma, or window of _ECHO_RADIUS sigmas, that overflows is refused, not warned about
+    with np.errstate(over="ignore"):
+        sigma = params.initial_spread + params.dispersion_coeff * np.sqrt(center - start[event])
+        reach = center + _ECHO_RADIUS * sigma
+    if not np.isfinite(reach).all():
+        raise ValidationError("the echo pulses' spread overflows the float range; lower "
+                              "'channel.initial_spread' or 'channel.dispersion_coeff'")
     return center, amp[kept], sigma
 
 

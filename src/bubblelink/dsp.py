@@ -66,9 +66,14 @@ def default_kalman_params(trace: SensorTrace) -> KalmanParams:
     scale = float(trace.samples.max()) if len(trace) else 1.0
     if scale <= 0:
         scale = 1.0
-    r = 1e-2 * scale**2
+    try:
+        variance = scale**2
+    except OverflowError:
+        raise ValidationError(f"the trace's maximum of {scale:g} is too large to tune the Kalman "
+                              "filter from; set 'kalman.q' and 'kalman.r'") from None
+    r = 1e-2 * variance
     x0 = float(trace.samples[0]) if len(trace) else 0.0
-    return KalmanParams(q=1e-4 * scale**2, r=r, x0=x0, p0=r)
+    return KalmanParams(q=1e-4 * variance, r=r, x0=x0, p0=r)
 
 
 def moving_average(trace: SensorTrace, params: MafParams) -> SensorTrace:
@@ -78,12 +83,19 @@ def moving_average(trace: SensorTrace, params: MafParams) -> SensorTrace:
     n = len(x)
     y = np.empty(n, dtype=float)
     head = min(w - 1, n)
-    for i in range(head):
-        y[i] = x[: i + 1].mean()
-    if n >= w:
-        windows = np.lib.stride_tricks.sliding_window_view(x, w)
-        y[w - 1 :] = windows.mean(axis=1)
-    return trace.with_samples(y)
+    # overflow gives inf, and inf - inf nan, silently: SensorTrace's finite check refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(head):
+            y[i] = x[: i + 1].mean()
+        if n >= w:
+            windows = np.lib.stride_tricks.sliding_window_view(x, w)
+            y[w - 1 :] = windows.mean(axis=1)
+    try:
+        return trace.with_samples(y)
+    except ValidationError:
+        raise ValidationError("the moving average overflows the float range; lower the trace's "
+                              "samples, which a run sets by 'dose', 'channel.noise_std' and "
+                              "'channel.spike_amplitude_max'") from None
 
 
 def _gains(p: float, q: float, r: float) -> Iterator[float]:

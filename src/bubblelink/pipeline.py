@@ -12,7 +12,7 @@ import os
 from dataclasses import dataclass
 
 from . import dsp, metrics, trace_io
-from .channel import mean_flow_velocity, simulate
+from .channel import simulate
 from .config import BRANCHES, ExperimentConfig, detect_threshold
 from .metrics import MatchResult, MetricsReport
 from .modem import Bits, InjectionSchedule, decode, encode
@@ -69,10 +69,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunResult:
     schedule = encode(cfg.bits, cfg.timing, cfg.dose)
     trace = simulate(schedule, cfg.channel)
 
-    # Bolus transit time from injection point to sensor; detected peaks lag the
-    # schedule by this much, so the truth is shifted before matching.
-    velocity = mean_flow_velocity(cfg.channel.flow_rate, cfg.channel.tube_diameter)
-    transit = cfg.channel.distance_to_sensor / velocity
+    # detected peaks lag the schedule by the bolus transit, so the truth is shifted before matching
+    transit = cfg.channel.pass_delay(0)
     truth = schedule.shifted(transit)
     return RunResult(cfg.bits, schedule, {name: _run_branch(name, trace, truth, transit, cfg)
                                       for name in BRANCHES})

@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 from unittest import mock
 
 import numpy as np
@@ -72,6 +73,33 @@ class TestMeanFlowVelocity:
         with pytest.raises(ValidationError):
             make_params(flow_rate=0.0)
 
+    @pytest.mark.parametrize("diameter, velocity", [(1e308, 0.0), (1.7e308, 0.0), (1e-320, math.inf)])
+    def test_area_past_the_float_range(self, diameter, velocity):
+        assert mean_flow_velocity(1.24, diameter) == velocity
+
+
+class TestPassDelay:
+    def test_is_the_transit_formula(self):
+        params = make_params()
+        v = mean_flow_velocity(params.flow_rate, params.tube_diameter)
+        assert params.pass_delay(0) == params.distance_to_sensor / v
+        assert params.pass_delay(3) == (params.distance_to_sensor + 3 * params.loop_length) / v
+        k = np.arange(5)
+        assert np.array_equal(params.pass_delay(k),
+                              (params.distance_to_sensor + k * params.loop_length) / v)
+
+    def test_instance_holds_only_its_fields(self):
+        params = make_params()
+        params.pass_delay(0)
+        assert list(vars(params)) == [f.name for f in fields(ChannelParams)]
+
+    @pytest.mark.parametrize("flow_rate, diameter", [
+        (1e-320, 0.009525), (1.24, 1e-320), (1.24, 1e-160), (1.24, 1e308), (1.24, 1.7e308),
+    ])
+    def test_velocity_not_finite_and_positive_is_refused(self, flow_rate, diameter):
+        with pytest.raises(ValidationError, match="'channel.flow_rate' and 'channel.tube_diameter'"):
+            make_params(flow_rate=flow_rate, tube_diameter=diameter)
+
 
 class TestEchoPasses:
     def test_geometric_truncation(self):
@@ -101,6 +129,14 @@ class TestEchoPasses:
         assert [echo_passes(e, params) for e in schedule.events] == expected
         table = echo_table(schedule, params)
         assert list(zip(*(column.tolist() for column in table))) == [p for e in expected for p in e]
+
+    @pytest.mark.parametrize("key", ["initial_spread", "dispersion_coeff"])
+    @pytest.mark.parametrize("value", [1e308, 1.7e308, 1e307])
+    def test_spread_that_overflows_is_refused(self, key, value):
+        # 1e307 is finite, but its window of _ECHO_RADIUS sigmas is not
+        params = make_params(**{key: value})
+        with pytest.raises(ValidationError, match="'channel.initial_spread' or 'channel.dispersion_coeff'"):
+            echo_table(single_event_schedule(), params)
 
     def test_cutoff_above_one_keeps_no_pass(self):
         params = make_params(echo_cutoff=1.5)

@@ -3,10 +3,13 @@ import filecmp
 import hashlib
 import os
 import shlex
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bubblelink.channel import mean_flow_velocity
 from bubblelink.cli import ALIASES, main
@@ -32,6 +35,9 @@ BENCH_DIGESTS = Path(__file__).parents[1] / "bench" / "digests.txt"
 # the preset overrides behind each tree of that file (``TREES`` in bench/digests.py)
 DIGEST_TREES = {"paper-like": [], "long-record": ["--set", "bits.length=2000", "--set", "bits.seed=0"]}
 HUGE_INT = "9" * 400  # beyond float range
+# a four-bit payload: runs in milliseconds, and its spikes at channel.spike_amplitude_max=1.7e308
+# overflow in the moving average, where the preset's payload overflows in simulate first
+SHORT_PAYLOAD = ["--set", "bits.value=1011"]
 
 
 class TestSubcommands:
@@ -405,6 +411,9 @@ class TestExitCodes:
         ("detect --in {tiny}", "sample interval 9.99989e-321 s is too small"),
         ("filter --in {tiny} --method maf --set timing.t_on=0.3",
          "sample interval 9.99989e-321 s is too small"),
+        ("filter --in {huge} --method maf --window 2", "the moving average overflows the float range"),
+        # the Kalman tuning squares the trace's maximum, which overflows from about 1.34e154
+        ("filter --in {huge} --method kalman", "set 'kalman.q' and 'kalman.r'"),
     ], ids=["encode-t_off-below-t_on", "encode-dose-inf", "filter-window-0", "filter-no-window",
             "filter-q-without-r", "filter-r-without-q", "detect-min-distance-0",
             "detect-threshold-nan", "decode-delay-nan", "decode-delay-inf",
@@ -412,7 +421,7 @@ class TestExitCodes:
             "filter-kalman-q-nan", "filter-kalman-r-inf", "filter-kalman-x0-inf",
             "filter-x0-without-q-r", "decode-t_off-inf", "encode-t_off-inf",
             "decode-symbol-duration-overflow", "detect-tiny-sample-interval",
-            "filter-maf-tiny-sample-interval"])
+            "filter-maf-tiny-sample-interval", "filter-maf-overflow", "filter-kalman-tuning-overflow"])
     def test_invalid_argument_is_validation_error(self, tmp_path, capsys, argv, message):
         trace_f = tmp_path / "t.csv"
         write_trace(SensorTrace(0.04, 0.0, np.abs(np.sin(np.arange(100) / 5))), trace_f)
@@ -420,8 +429,10 @@ class TestExitCodes:
         peaks_f.write_text("time_s,amplitude\n0.3,1.0\n")
         tiny_f = tmp_path / "tiny.csv"
         tiny_f.write_text("time_s,amplitude\n0,1\n1e-320,2\n2e-320,1\n")
+        huge_f = tmp_path / "huge.csv"
+        huge_f.write_text("time_s,amplitude\n0.02,1e308\n0.06,1.7e308\n0.1,1e308\n")
         out = tmp_path / "out.csv"
-        argv = [a.format(trace=trace_f, peaks=peaks_f, tiny=tiny_f) for a in argv.split()]
+        argv = [a.format(trace=trace_f, peaks=peaks_f, tiny=tiny_f, huge=huge_f) for a in argv.split()]
         rc = main([*argv, "--out", str(out)])
         assert rc == 2
         assert message in capsys.readouterr().err
@@ -510,6 +521,13 @@ class TestExitCodes:
         pytest.param(f"channel.max_samples={HUGE_INT}", id="channel.max_samples=huge"),
         "bits.seed=-3", "bits.seed=abc",  # the preset's bits.value draws no bits
         "dose=1.7e308",  # finite, but the overlapping echoes sum past the largest float
+        # a mean flow velocity of 0, where the flow underflows or the area overflows (1e308**2),
+        # or of inf, where the area underflows or flow / area overflows
+        "channel.flow_rate=1e-320", "channel.tube_diameter=1e308", "channel.tube_diameter=1.7e308",
+        "channel.tube_diameter=1e-320", "channel.tube_diameter=1e-160",
+        # finite, but sigma or its window of 39 sigmas overflows
+        "channel.dispersion_coeff=1e308", "channel.dispersion_coeff=1.7e308",
+        "channel.initial_spread=1e308", "channel.initial_spread=1.7e308",
     ])
     def test_bad_config_setting_names_key(self, tmp_path, capsys, setting):
         out = tmp_path / "out"
@@ -526,6 +544,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         for key in ("dose", "channel.noise_std", "channel.spike_amplitude_max"):
             assert repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", ["dose=1e308", "channel.spike_amplitude_max=1.7e308"])
+    def test_overflowing_moving_average_names_its_settings(self, tmp_path, capsys, setting):
+        out = tmp_path / "out"
+        rc = main(["pipeline", "--preset", "paper-like", *SHORT_PAYLOAD, "--set", setting,
+                   "--out-dir", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "the moving average overflows the float range" in err
+        assert repr(setting.partition("=")[0]) in err
+        assert not out.exists()
+
+    def test_kalman_tuning_that_overflows_names_the_settings(self, tmp_path, capsys):
+        # the tuning squares the trace's maximum, about 1.1e160 here, past the largest float
+        lines = preset_text("paper-like").splitlines(keepends=True)
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("".join(line for line in lines if not line.startswith("kalman.")))
+        out = tmp_path / "out"
+        rc = main(["pipeline", "--config", str(cfg), "--set", "dose=1e160", "--out-dir", str(out)])
+        assert rc == 2
+        assert "set 'kalman.q' and 'kalman.r'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [
@@ -656,3 +696,40 @@ class TestExitCodes:
         rc = main(["simulate", "--schedule", str(bad), "--preset", "paper-like",
                    "--out", str(tmp_path / "t.csv")])
         assert rc == 2
+
+
+# hostile text for a setting: signed zeros, values that underflow or overflow in arithmetic,
+# non-finite and unparsable text, Python-only number forms, and ordinary numbers
+HOSTILE_VALUES = ["0", "-0", "-1", "1e-320", "1e308", "1.7e308", "nan", "inf", "-inf", "", " ",
+                  "1e400", "9" * 30, "0x10", "1_000", "3.5", "-1e-9", "2", "1e-9", "0.999999",
+                  "1e6"]
+FUZZ_KEYS = sorted(KNOWN_KEYS - {"bits.value"})  # bits.value is the payload the runs share
+
+
+def assert_exits_with_a_code(out, key, value):
+    """A run of the short payload with ``key=value`` exits 0, 1 or 2, and writes ``out`` only on 0.
+
+    An exception other than the typed refusals, or a numpy warning (which pytest.ini
+    turns into an error), escapes ``main`` and fails the test.
+    """
+    rc = main(["pipeline", "--preset", "paper-like", *SHORT_PAYLOAD, "--set", f"{key}={value}",
+               "--out-dir", str(out)])
+    assert rc in (0, 1, 2), f"{key}={value!r}"
+    assert out.exists() == (rc == 0), f"{key}={value!r}"
+
+
+@pytest.mark.parametrize("key", FUZZ_KEYS)
+def test_hostile_values_exit_with_a_code(tmp_path, key):
+    for i, value in enumerate(HOSTILE_VALUES):
+        assert_exits_with_a_code(tmp_path / str(i), key, value)
+
+
+# CI raises the count (CONFIG_FUZZ_EXAMPLES); a float is written as Python prints it, or as
+# its integer part, which the integer settings parse
+@settings(deadline=None, max_examples=int(os.environ.get("CONFIG_FUZZ_EXAMPLES", "40")))
+@given(st.sampled_from(FUZZ_KEYS),
+       st.one_of(st.floats().map(repr),
+                 st.floats(allow_nan=False, allow_infinity=False).map(lambda x: str(int(x)))))
+def test_any_float_setting_exits_with_a_code(key, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_exits_with_a_code(Path(tmp) / "out", key, value)

@@ -73,6 +73,16 @@ class TestMovingAverage:
         with pytest.raises(ValidationError):
             MafParams(0)
 
+    # the second is 16 samples of a 17-sample window: numpy's pairwise sum adds samples 0 and 8
+    # to inf, samples 1 and 9 to -inf, and then the two to nan
+    @pytest.mark.parametrize("x, window", [
+        ([1e308, 1.7e308, 1e308], 2),
+        ([1.7e308, -1.7e308, 0, 0, 0, 0, 0, 0] * 2, 17),
+    ], ids=["overflow", "inf-minus-inf"])
+    def test_overflow_is_refused_without_a_warning(self, x, window):
+        with pytest.raises(ValidationError, match="moving average overflows the float range"):
+            moving_average(make_trace(x), MafParams(window))
+
 
 def filtered_and_stepped(trace, params):
     """kalman_filter's output and how many samples its per-sample generator stepped through."""
@@ -106,6 +116,12 @@ class TestKalmanFilter:
         trace = make_trace(3.0 + rng.random(3000))  # starts away from 0, so x0 matters
         tuned = kalman_filter(trace, default_kalman_params(trace)).samples
         assert np.array_equal(kalman_filter(trace, None).samples, tuned)
+
+    def test_tuning_that_overflows_names_the_settings(self):
+        trace = make_trace([1e154, 1.4e154])  # 1.4e154**2 is past the largest float
+        assert default_kalman_params(make_trace([1e154])).r == 1e-2 * 1e154**2
+        with pytest.raises(ValidationError, match="set 'kalman.q' and 'kalman.r'"):
+            kalman_filter(trace, None)
 
     def test_strided_samples(self):
         x = np.random.Generator(np.random.PCG64(26)).normal(size=400)[::2]
