@@ -42,26 +42,32 @@ class ChannelParams:
     max_samples: int = 1_000_000
 
     def __post_init__(self):
+        if not (self.flow_rate > 0 and self.tube_diameter > 0):
+            raise ValidationError("'channel.flow_rate' and 'channel.tube_diameter' must be positive")
         velocity = mean_flow_velocity(self.flow_rate, self.tube_diameter)
         if not 0 < velocity < math.inf:
             raise ValidationError(f"'channel.flow_rate' and 'channel.tube_diameter' give a mean "
                                   f"flow velocity of {velocity:g} m/s, not finite and positive")
         if not 0 < self.distance_to_sensor <= self.loop_length:
-            raise ValidationError("require 0 < distance_to_sensor <= loop_length")
+            raise ValidationError("require 0 < 'channel.distance_to_sensor' <= "
+                                  "'channel.loop_length'")
         if not 0 <= self.pass_decay < 1:
-            raise ValidationError("pass_decay must be in [0, 1)")
+            raise ValidationError("'channel.pass_decay' must be in [0, 1)")
         if not self.echo_cutoff > 0:
-            raise ValidationError("echo_cutoff must be positive")
+            raise ValidationError("'channel.echo_cutoff' must be positive")
         if not self.sample_interval > 0:
-            raise ValidationError("sample_interval must be positive")
+            raise ValidationError("'channel.sample_interval' must be positive")
         if self.noise_std < 0 or self.spike_rate < 0:
-            raise ValidationError("noise_std and spike_rate must be non-negative")
+            raise ValidationError("'channel.noise_std' and 'channel.spike_rate' must be non-negative")
         if self.spike_rate > 0 and not self.spike_amplitude_max > 0:
-            raise ValidationError("spike_amplitude_max must be positive when spikes are on")
+            raise ValidationError("'channel.spike_amplitude_max' must be positive when spikes are on")
         if not (self.initial_spread > 0 and self.dispersion_coeff >= 0):
-            raise ValidationError("initial_spread must be > 0, dispersion_coeff >= 0")
+            raise ValidationError("require 'channel.initial_spread' > 0 and "
+                                  "'channel.dispersion_coeff' >= 0")
         if self.rng_seed < 0:
-            raise ValidationError("rng_seed must be non-negative")
+            raise ValidationError("'channel.rng_seed' must be non-negative")
+        if self.max_samples < 1:  # every trace has at least one sample
+            raise ValidationError("'channel.max_samples' must be at least 1")
 
     def pass_delay(self, k):
         """Seconds from injection to the sensor on loop pass ``k``, a number or an array."""

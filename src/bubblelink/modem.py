@@ -8,7 +8,7 @@ binary 0 leaves the frame idle. The receiver reads the frames back in order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -49,21 +49,21 @@ class InjectionEvent(NamedTuple):
     dose: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InjectionSchedule:
     """Transmitter-side list of timed, non-overlapping bolus injections.
 
-    ``events`` may be given as (start, duration, dose) triples or as an (n, 3)
-    array; it is kept as a tuple of InjectionEvent, and ``table`` holds the same
-    (n, 3) floats.
+    ``table`` may be given as (start, duration, dose) triples or as an (n, 3) array
+    and is kept as read-only (n, 3) floats; ``events`` builds its rows as
+    InjectionEvent on each access.
     """
 
-    events: tuple[InjectionEvent, ...]
+    table: np.ndarray
     total_span: float
-    table: np.ndarray = field(init=False, repr=False, compare=False)
+    events = property(lambda self: named_rows(InjectionEvent, self.table))
 
     def __post_init__(self):
-        table = float_table(self.events, 3)
+        table = float_table(self.table, 3)
         start, duration, dose = table.T
         # each event's checks in this order, then each neighbour pair's: the first failure raises
         _raise_first(
@@ -78,7 +78,6 @@ class InjectionSchedule:
         if self.total_span < 0:
             raise ValidationError("total_span must be non-negative")
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "events", named_rows(InjectionEvent, table))
 
     def __len__(self) -> int:
         return len(self.table)

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import repeat
 from typing import NamedTuple, Sequence
 
@@ -73,25 +73,24 @@ class Peak(NamedTuple):
     amplitude: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeakSet:
     """Detected "high"-signal events, sorted by time.
 
-    ``peaks`` may be given as (time, amplitude) pairs or as an (n, 2) array; it
-    is kept as a tuple of Peak, and ``table`` holds the same (n, 2) floats.
+    ``table`` may be given as (time, amplitude) pairs or as an (n, 2) array and is
+    kept as read-only (n, 2) floats; ``peaks`` builds its rows as Peak on each access.
     """
 
-    peaks: tuple[Peak, ...]
-    table: np.ndarray = field(init=False, repr=False, compare=False)
+    table: np.ndarray
+    peaks = property(lambda self: named_rows(Peak, self.table))
 
     def __post_init__(self):
-        table = float_table(self.peaks, 2)
+        table = float_table(self.table, 2)
         if not np.isfinite(table).all():
             raise ValidationError("peak times and amplitudes must be finite")
         if not (table[1:, 0] > table[:-1, 0]).all():
             raise ValidationError("peak times must be strictly ascending")
         object.__setattr__(self, "table", table)
-        object.__setattr__(self, "peaks", named_rows(Peak, table))
 
     def __len__(self) -> int:
         return len(self.table)

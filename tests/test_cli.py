@@ -528,6 +528,13 @@ class TestExitCodes:
         # finite, but sigma or its window of 39 sigmas overflows
         "channel.dispersion_coeff=1e308", "channel.dispersion_coeff=1.7e308",
         "channel.initial_spread=1e308", "channel.initial_spread=1.7e308",
+        # each of ChannelParams' other refusals
+        "channel.flow_rate=-1", "channel.tube_diameter=0", "channel.loop_length=0.1",
+        "channel.distance_to_sensor=0", "channel.pass_decay=1", "channel.echo_cutoff=0",
+        "channel.sample_interval=0", "channel.noise_std=-1", "channel.spike_rate=-1",
+        "channel.spike_amplitude_max=0", "channel.initial_spread=0", "channel.dispersion_coeff=-1",
+        "channel.rng_seed=-1",
+        "channel.max_samples=0",  # every trace has a sample, so no run could meet the cap
     ])
     def test_bad_config_setting_names_key(self, tmp_path, capsys, setting):
         out = tmp_path / "out"
@@ -625,12 +632,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv, env_seed, message", [
         ("pipeline --preset paper-like --set channel.rng_seed=-1 --out-dir {out}", None,
-         "rng_seed must be non-negative"),
+         "'channel.rng_seed' must be non-negative"),
         ("pipeline --preset paper-like --set bits.length=5 --set bits.seed=-3 --out-dir {out}", None,
          "bits.seed must be non-negative"),
-        ("pipeline --preset paper-like --out-dir {out}", "-2", "rng_seed must be non-negative"),
+        ("pipeline --preset paper-like --out-dir {out}", "-2",
+         "'channel.rng_seed' must be non-negative"),
         ("simulate --schedule {schedule} --preset paper-like --set channel.rng_seed=-1 --out {out}",
-         None, "rng_seed must be non-negative"),
+         None, "'channel.rng_seed' must be non-negative"),
     ], ids=["pipeline-rng_seed", "pipeline-bits.seed", "pipeline-env-seed", "simulate-rng_seed"])
     def test_negative_seed_is_validation_error(self, tmp_path, capsys, monkeypatch, argv,
                                                env_seed, message):
